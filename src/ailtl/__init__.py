@@ -32,10 +32,10 @@ from .patterns import (
     PatternElem,
     PatternSeq,
     Prefix,
+    PrefixCursor,
     Quant,
     match_prefix,
     occurrences,
-    occurs_any,
     template_match,
 )
 from .dsl import ParseError, Program, parse_program, parse_trace, render, render_event

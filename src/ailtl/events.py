@@ -15,8 +15,10 @@ external and internal events as well as performed actions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .terms import Term, functor_of, is_ground, render_term
@@ -57,6 +59,9 @@ class Event:
 
 
 Key = Tuple[EventKind, str, int]
+
+
+_timestamp = attrgetter("timestamp")
 
 
 def _key(e: Event) -> Key:
@@ -117,15 +122,18 @@ class History:
     def archived(self, kind: EventKind, functor: str, arity: int) -> List[Event]:
         return list(self._pnv.get((kind, functor, arity), ()))
 
-    def events_from(self, index: int) -> Iterator[Tuple[int, Event]]:
-        """Logged events with position, starting at log index ``index``."""
-        for i in range(index, len(self.log)):
-            yield i, self.log[i]
+    def since(self, ts: int, start: int = 0) -> Iterator[Tuple[int, Event]]:
+        """Logged events with timestamp >= ``ts`` and their log index.
 
-    def since(self, ts: int) -> Iterator[Tuple[int, Event]]:
-        for i, e in enumerate(self.log):
-            if e.timestamp >= ts:
-                yield i, e
+        ``start`` is a consumer's cursor: the log index it has read up to.
+        The first index is found by bisection, so a consumer that reads
+        only what was logged since its last read pays for the new events.
+        """
+        log = self.log
+        i = bisect_left(log, ts, start, key=_timestamp)
+        while i < len(log):
+            yield i, log[i]
+            i += 1
 
     @property
     def p_size(self) -> int:

@@ -27,20 +27,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .events import EventKind, History
 from .kb import Comparison, EventRef, FactBase
 from .patterns import (
     EMPTY_SEQ,
-    Complete,
     Mismatch,
     NoEvents,
     PatternSeq,
-    Prefix,
+    PrefixCursor,
+    first_hit,
     match_prefix,
     occurrences,
-    template_match,
 )
 from .temporal import (
     ContextualFormula,
@@ -124,6 +123,13 @@ class ExprRuntime:
     ``scan_since``: events with a strictly greater timestamp are in scope
     for this instance; a fresh root instance uses ``start_tick - 1`` so it
     sees the whole run, a re-armed clone uses the tick it was spawned at.
+
+    Each event sequence reads the log through its own cursor, so a step
+    reads only what was logged since the previous one.  The precondition
+    cursor lives until the first check, the expected-future cursor until
+    its first mismatch, and both are dropped when the instance ends.  The
+    breaking cursor is the log length at the previous scan, kept per
+    binding the scan has run under.
     """
 
     def __init__(self, expr: EvolutionaryExpr, scan_since: int = -1) -> None:
@@ -134,8 +140,12 @@ class ExprRuntime:
         self.armed_at: Optional[int] = None
         self.core: Optional[CoreState] = None
         self.eval_ticks: List[int] = []
-        self._seen_breaking: Set[int] = set()
-        self._future_warned = False
+        self._pre: Optional[PrefixCursor] = PrefixCursor() if expr.pre else None
+        self._future: Optional[PrefixCursor] = PrefixCursor() if expr.future else None
+        self._breaking_seed = self.binding
+        self._breaking_at = 0
+        # (binding, log length read under it) of each binding replaced so far
+        self._breaking_past: Tuple[Tuple[Binding, int], ...] = ()
 
     # -- helpers --------------------------------------------------------
 
@@ -146,6 +156,11 @@ class ExprRuntime:
     def _move(self, out: StepOutcome, new: ExprStatus, cause: Term) -> None:
         out.transitions.append(Transition(self.status, new, cause))
         self.status = new
+        if new is not ExprStatus.ARMED:
+            self._pre = None
+        if new in TERMINAL_STATUSES:
+            self._future = None
+            self._breaking_past = ()
 
     def _fire(self, out: StepOutcome, channel: str, reaction: Reaction, kb: FactBase, history: History, binding: Binding) -> None:
         for kind, payload in fire_reaction(reaction, kb, binding, history):
@@ -183,25 +198,15 @@ class ExprRuntime:
             return out
 
         t0 = clock() if clock else 0
-        armed_now = True
-        if self.status is ExprStatus.DORMANT:
-            self._try_arm(out, history, kb, now)
-            armed_now = self.status is ExprStatus.ARMED
-        if armed_now and self.status is ExprStatus.ARMED:
-            # the precondition keeps being policed until the first check
-            result = match_prefix(self.expr.pre, history, self.scan_since + 1, kb, None)
-            if isinstance(result, Mismatch):
-                self._move(out, ExprStatus.DISABLED, Const("precondition_order"))
-                armed_now = False
-            elif isinstance(result, (Prefix, Complete)):
-                self.binding = result.binding
+        if self.status in (ExprStatus.DORMANT, ExprStatus.ARMED):
+            self._police_pre(out, history, kb, now)
         t1 = clock() if clock else 0
         if clock:
             out.if_eval_ns = t1 - t0
-        if not armed_now or self.terminal:
+        if self.status not in (ExprStatus.ARMED, ExprStatus.HOLDING):
             return out
 
-        broke = self._scan_breaking(out, history, kb, now)
+        broke = self._scan_breaking(out, history, kb)
         if not broke:
             self._police_future(out, history, kb)
         t2 = clock() if clock else 0
@@ -214,26 +219,42 @@ class ExprRuntime:
             out.max_eval_ns = clock() - t2
         return out
 
-    def _try_arm(self, out: StepOutcome, history: History, kb: FactBase, now: int) -> None:
-        result = match_prefix(self.expr.pre, history, self.scan_since + 1, kb, None)
+    def _police_pre(self, out: StepOutcome, history: History, kb: FactBase, now: int) -> None:
+        """Arm on a precondition prefix; until the first check, rebind or disable."""
+        result = match_prefix(self.expr.pre, history, self.scan_since + 1, kb, None, self._pre)
         if isinstance(result, NoEvents):
             return
         if isinstance(result, Mismatch):
             self._move(out, ExprStatus.DISABLED, Const("precondition_order"))
             return
         self.binding = result.binding
-        self.armed_at = now
-        self.core = CoreState.enable(self.expr.core.op, now)
-        self._move(out, ExprStatus.ARMED, Const("precondition_prefix"))
+        if self.status is ExprStatus.DORMANT:
+            self.armed_at = now
+            self.core = CoreState.enable(self.expr.core.op, now)
+            self._move(out, ExprStatus.ARMED, Const("precondition_prefix"))
 
-    def _scan_breaking(self, out: StepOutcome, history: History, kb: FactBase, now: int) -> bool:
-        """True when the instance just broke."""
-        if not self.expr.breaking.elems:
+    def _scan_breaking(self, out: StepOutcome, history: History, kb: FactBase) -> bool:
+        """True when the instance just broke.
+
+        A scan reads the events logged since the previous one.  A
+        rebinding restarts it from ``scan_since``; an event read before is
+        then skipped when it already hit under an earlier binding, so each
+        hit is reported once.
+        """
+        pattern = self.expr.breaking
+        if not pattern.elems:
             return False
-        for idx, event, hit in occurrences(self.expr.breaking, history, self.scan_since, kb, self.binding):
-            if idx in self._seen_breaking:
+        if self.binding != self._breaking_seed:
+            if self._breaking_at:
+                self._breaking_past += ((self._breaking_seed, self._breaking_at),)
+            self._breaking_seed, self._breaking_at = self.binding, 0
+        start, self._breaking_at = self._breaking_at, len(history.log)
+        for idx, event, hit in occurrences(pattern, history, self.scan_since, kb, self._breaking_seed, start):
+            if any(
+                idx < upto and first_hit(pattern, event, seed, kb, history) is not None
+                for seed, upto in self._breaking_past
+            ):
                 continue
-            self._seen_breaking.add(idx)
             if self.expr.eta3:
                 # preventive countermeasure: fire once per distinct hit, stay armed
                 self._fire(out, "eta3", self.expr.eta3, kb, history, hit)
@@ -255,22 +276,19 @@ class ExprRuntime:
         """
         if self.status not in (ExprStatus.ARMED, ExprStatus.HOLDING) or not self.expr.eta3:
             return None
-        for elem in self.expr.breaking.elems:
-            hit = template_match(elem, imminent, self.binding, kb, history)
-            if hit is not None:
-                return [
-                    Effect("eta3", kind, payload)
-                    for kind, payload in fire_reaction(self.expr.eta3, kb, hit, history)
-                ]
-        return None
+        hit = first_hit(self.expr.breaking, imminent, self.binding, kb, history)
+        if hit is None:
+            return None
+        return [Effect("eta3", kind, payload) for kind, payload in fire_reaction(self.expr.eta3, kb, hit, history)]
 
     def _police_future(self, out: StepOutcome, history: History, kb: FactBase) -> None:
-        if not self.expr.future.elems or self._future_warned or self.armed_at is None:
+        if self._future is None:
             return
-        result = match_prefix(self.expr.future, history, self.armed_at, kb, self.binding)
+        # a rebinding of the precondition restarts the cursor from armed_at
+        result = match_prefix(self.expr.future, history, self.armed_at, kb, self.binding, self._future)
         if isinstance(result, Mismatch):
-            # expected-future events out of order: warn, keep checking
-            self._future_warned = True
+            # expected-future events out of order: warn once, keep checking
+            self._future = None
             out.warnings.append(f"expected-future sequence mismatched at relevant event {result.at}")
 
     def _check_core(self, out: StepOutcome, history: History, kb: FactBase, now: int, default_k: int) -> None:

@@ -170,6 +170,10 @@ class FactBase:
             raise ReservedFunctor(f"{name}/{arity} already has stored facts")
         self._evaluators[(name, arity)] = fn
 
+    def evaluates(self, name: str, arity: int) -> bool:
+        """Is ``name/arity`` answered by a registered evaluator?"""
+        return (name, arity) in self._evaluators
+
     def register_cost(self, name: str, table_or_fn: Union[Dict[str, int], CostFn]) -> None:
         if callable(table_or_fn):
             self._costs[name] = table_or_fn

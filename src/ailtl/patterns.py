@@ -6,7 +6,10 @@ exactly one, ``+`` (one or more consecutive), or ``*`` (zero or more).
 Matching scans the log from a given time, prefix-style: the relevant
 events seen so far must form a prefix of the pattern, in order.  Events
 matching no element at all are skipped -- only relevant events and their
-order count.
+order count.  Matching is incremental: a ``PrefixCursor`` carries the
+matcher's live parses and its log index between calls, so each call
+reads only the events logged since the previous one, and each event's
+relevance is decided once, when it is first read.
 
 Template matching is structural first; when that fails, a unary template
 ``f(X)`` also matches an event whose payload ``p`` the fact base
@@ -111,8 +114,15 @@ def template_match(
     return hit
 
 
-def _relevant(event: Event, pattern: PatternSeq, kb: Optional[FactBase], history: Optional[History]) -> bool:
-    return any(template_match(e, event, {}, kb, history) is not None for e in pattern.elems)
+def first_hit(
+    pattern: PatternSeq, event: Event, seed: Binding, kb: Optional[FactBase], history: Optional[History]
+) -> Optional[Binding]:
+    """The binding of the first element the event matches under ``seed``, if any."""
+    for elem in pattern.elems:
+        hit = template_match(elem, event, seed, kb, history)
+        if hit is not None:
+            return hit
+    return None
 
 
 @dataclass
@@ -161,13 +171,12 @@ def _closed_exports(state: _State) -> Binding:
 
 
 class _Matcher:
-    def __init__(self, pattern: PatternSeq, kb: Optional[FactBase], history: Optional[History], seed: Binding):
+    def __init__(self, pattern: PatternSeq, kb: Optional[FactBase], seed: Binding):
         self.pattern = pattern
         self.kb = kb
-        self.history = history
         self.states: List[_State] = [_State(0, 0, dict(seed), {})]
 
-    def feed(self, event: Event) -> bool:
+    def feed(self, event: Event, history: History) -> bool:
         """Consume one relevant event; False when no parse survives."""
         elems = self.pattern.elems
         new_states: List[_State] = []
@@ -184,13 +193,13 @@ class _Matcher:
                 elem = elems[st.pos]
                 extendable = elem.quant is not Quant.ONE or st.count == 0
                 if extendable:
-                    hit = template_match(elem, event, st.exports, self.kb, self.history)
+                    hit = template_match(elem, event, st.exports, self.kb, history)
                     if hit is not None:
                         push(_State(st.pos, st.count + 1, st.exports, _merge_run(st.run_vals, hit, st.exports)))
                 if _run_satisfied(elem.quant, st.count):
                     exports = _closed_exports(st)
                     for j in range(st.pos + 1, len(elems)):
-                        hit = template_match(elems[j], event, exports, self.kb, self.history)
+                        hit = template_match(elems[j], event, exports, self.kb, history)
                         if hit is not None:
                             push(_State(j, 1, exports, _merge_run({}, hit, exports)))
                         if elems[j].quant is not Quant.STAR:
@@ -221,31 +230,75 @@ class _Matcher:
         return Prefix(best_prefix, best_binding)
 
 
+def _history_dependent(pattern: PatternSeq, kb: Optional[FactBase]) -> bool:
+    """Does an element fall back on a classifier answered by a registered evaluator?"""
+    if kb is None:
+        return False
+    return any(
+        isinstance(e.template, Compound) and len(e.template.args) == 1 and kb.evaluates(e.template.functor, 1)
+        for e in pattern.elems
+    )
+
+
+class PrefixCursor:
+    """A caller's place in one prefix match, carried between ``match_prefix`` calls.
+
+    It holds the next log index to read and the matcher's live parses.
+    The match starts over from ``since`` whenever the inputs of the call
+    change -- pattern, history, start time, seed binding or fact-base
+    version -- and on every call when an element's classifier is a
+    registered evaluator, whose answer depends on the history.
+    """
+
+    __slots__ = ("_inputs", "_volatile", "_matcher", "_at", "_saw", "_died_at")
+
+    def __init__(self) -> None:
+        self._inputs: Optional[tuple] = None
+        self._volatile = False
+
+    def read(
+        self, pattern: PatternSeq, history: History, since: int, kb: Optional[FactBase], seed: Binding
+    ) -> MatchResult:
+        inputs = (pattern, history, since, seed, kb, None if kb is None else kb.version)
+        if self._volatile or inputs != self._inputs:
+            self._inputs = inputs
+            self._volatile = _history_dependent(pattern, kb)
+            self._matcher = _Matcher(pattern, kb, seed)
+            self._at = 0
+            self._saw = 0
+            self._died_at = None
+        if self._died_at is None and self._at < len(history.log):
+            for _, event in history.since(since, self._at):
+                if first_hit(pattern, event, {}, kb, history) is None:
+                    continue  # irrelevant to the pattern
+                if not self._matcher.feed(event, history):
+                    self._died_at = self._saw
+                    break
+                self._saw += 1
+        self._at = len(history.log)
+        return self._matcher.result(self._saw > 0, self._died_at)
+
+
 def match_prefix(
     pattern: PatternSeq,
     history: History,
     since: int,
     kb: Optional[FactBase] = None,
     seed: Optional[Binding] = None,
+    cursor: Optional[PrefixCursor] = None,
 ) -> MatchResult:
     """Match the relevant sub-log at/after ``since`` against the pattern.
 
     ``NoEvents`` when nothing relevant occurred; ``Prefix``/``Complete``
     with the accumulated binding when relevant events follow the pattern
     order; ``Mismatch`` at the first relevant event no parse can absorb.
+    Without a ``cursor`` the match is one-shot; with one, the call reads
+    only what was logged since the cursor's last call.
     """
+    seed = dict(seed or {})
     if not pattern.elems:
-        return Complete(dict(seed or {}))
-    matcher = _Matcher(pattern, kb, history, dict(seed or {}))
-    saw = 0
-    for _, event in history.since(since):
-        if not _relevant(event, pattern, kb, history):
-            continue
-        alive = matcher.feed(event)
-        if not alive:
-            return matcher.result(True, died_at=saw)
-        saw += 1
-    return matcher.result(saw > 0, died_at=None)
+        return Complete(seed)
+    return (cursor or PrefixCursor()).read(pattern, history, since, kb, seed)
 
 
 def occurrences(
@@ -254,29 +307,17 @@ def occurrences(
     since: int,
     kb: Optional[FactBase] = None,
     seed: Optional[Binding] = None,
+    start: int = 0,
 ) -> Iterator[Tuple[int, Event, Binding]]:
     """Logged events strictly after ``since`` unifying with any element.
 
-    Yields ``(log index, event, binding)`` in log order; used for breaking
-    ("expected not to happen") sequences, where any single hit counts.
+    Yields ``(log index, event, binding)`` in log order from log index
+    ``start`` on, so a caller that passes the log length of its previous
+    call sees each event once; used for breaking ("expected not to
+    happen") sequences, where any single hit counts.
     """
     base = dict(seed or {})
-    for idx, event in history.since(since + 1):
-        for elem in pattern.elems:
-            hit = template_match(elem, event, base, kb, history)
-            if hit is not None:
-                yield idx, event, hit
-                break
-
-
-def occurs_any(
-    pattern: PatternSeq,
-    history: History,
-    since: int,
-    kb: Optional[FactBase] = None,
-    seed: Optional[Binding] = None,
-) -> Optional[Tuple[Event, Binding]]:
-    """Earliest event after ``since`` matching any pattern element, if any."""
-    for _, event, binding in occurrences(pattern, history, since, kb, seed):
-        return event, binding
-    return None
+    for idx, event in history.since(since + 1, start):
+        hit = first_hit(pattern, event, base, kb, history)
+        if hit is not None:
+            yield idx, event, hit

@@ -4,7 +4,8 @@ Per incoming event: action events pass through the reflective gate first
 (blocked ones are logged but never recorded), everything recorded lands in
 the history, and the timed state sequence advances when the snapshot
 changed.  After all events of a tick are ingested, every live expression
-instance is stepped against the snapshot; reactions and countermeasures
+instance is stepped against the snapshot (an instance leaves the step
+loop the cycle it turns terminal); reactions and countermeasures
 are emitted as fresh events with the next tick's timestamp and fed back
 through the same gate, so an emission in cycle c is never visible to
 checks before cycle c+1.
@@ -210,13 +211,14 @@ class Engine:
         self.history = History(default_limit=int(retention) if retention is not None else None)
         self.seq = StateSequence()
         self.metarules: List[MetaRule] = list(program.metarules)
-        self.instances: List[_Instance] = []
+        self.instances: List[_Instance] = []  # every instance, in creation order
         self._clone_counts: Dict[str, int] = {}
         for name, expr in program.evolutionary:
             self.instances.append(_Instance(name, name, expr, ExprRuntime(expr), is_rule=False))
         for name, rule in program.reactive:
             wrapped = EvolutionaryExpr(core=rule.monitor, repair=rule.reaction)
             self.instances.append(_Instance(name, name, wrapped, ExprRuntime(wrapped), is_rule=True))
+        self._live: List[_Instance] = list(self.instances)  # the non-terminal ones, in creation order
         self._seq_no = 0
 
     def _next_seq(self) -> int:
@@ -272,7 +274,9 @@ class Engine:
     def _check(self, report: Report, tick: int, feedback: Dict[int, List[Event]]) -> None:
         timed = self.cfg.metrics
         t0 = time.perf_counter_ns() if timed else 0
-        snapshot = list(self.instances)
+        snapshot = self._live
+        live: List[_Instance] = []
+        spawned: List[_Instance] = []
         t1 = time.perf_counter_ns() if timed else 0
         emitted = 0
         if_eval = max_eval = if_viol = 0
@@ -296,24 +300,30 @@ class Engine:
                 if emitted > self.cfg.emission_cap:
                     raise CapExceeded(f"cycle {tick} emitted more than {self.cfg.emission_cap} actions")
                 feedback.setdefault(tick + 1, []).append(Event(eff.kind, eff.payload, tick + 1))
+            if not inst.runtime.terminal:
+                live.append(inst)
             just_ended = any(tr.new in (ExprStatus.VIOLATED, ExprStatus.BROKEN) for tr in out.transitions)
             if self.cfg.rearm and just_ended:
-                self._respawn(inst, tick)
+                clone = self._respawn(inst, tick)
+                if clone is not None:
+                    spawned.append(clone)
+        # clones are younger than every instance stepped this cycle
+        self._live = live + spawned
         if timed:
             report.metrics.append(
                 CycleMetrics(tick, len(snapshot), t1 - t0, if_eval, max_eval, if_viol)
             )
 
-    def _respawn(self, inst: _Instance, tick: int) -> None:
+    def _respawn(self, inst: _Instance, tick: int) -> Optional[_Instance]:
         hi = inst.expr.core.op.n
         if hi is not None and tick >= hi:
-            return  # the monitored interval is over; nothing left to guard
+            return None  # the monitored interval is over; nothing left to guard
         count = self._clone_counts.get(inst.base, 1) + 1
         self._clone_counts[inst.base] = count
         name = f"{inst.base}#{count}"
-        self.instances.append(
-            _Instance(name, inst.base, inst.expr, ExprRuntime(inst.expr, scan_since=tick), inst.is_rule)
-        )
+        clone = _Instance(name, inst.base, inst.expr, ExprRuntime(inst.expr, scan_since=tick), inst.is_rule)
+        self.instances.append(clone)
+        return clone
 
     def _finalize(self, report: Report, last_tick: int) -> None:
         for inst in self.instances:

@@ -46,6 +46,9 @@ class Lcg:
         return lo + self.next() % (hi - lo + 1)
 
 
+QUEUE_ITEMS = 300  # queue items are drawn from [1, QUEUE_ITEMS]
+
+
 def queue_scenario(size: int = 100, seed: int = 7, inject_duplicates: int = 0) -> Tuple[str, str]:
     """Pushes then FIFO pops on one queue, items uniform in [1, 300].
 
@@ -54,16 +57,22 @@ def queue_scenario(size: int = 100, seed: int = 7, inject_duplicates: int = 0) -
     With ``inject_duplicates`` > 0 the gate is left out, base items are
     made distinct, and that many duplicate pushes are appended as the
     final pushes: the run then violates exactly once per duplicate.
+    Distinct items need ``size`` <= 300, and each duplicate repeats one
+    of them, so ``inject_duplicates`` <= ``size``; otherwise ValueError.
     """
     rng = Lcg(seed)
     gated = inject_duplicates == 0
+    if not gated and size > QUEUE_ITEMS:
+        raise ValueError(f"an injected queue draws {size} distinct items from only {QUEUE_ITEMS}")
+    if inject_duplicates > size:
+        raise ValueError(f"cannot inject {inject_duplicates} duplicates of {size} items")
     values: List[int] = []
     if gated:
-        values = [rng.uniform(1, 300) for _ in range(size)]
+        values = [rng.uniform(1, QUEUE_ITEMS) for _ in range(size)]
     else:
         seen = set()
         while len(values) < size:
-            v = rng.uniform(1, 300)
+            v = rng.uniform(1, QUEUE_ITEMS)
             if v not in seen:
                 seen.add(v)
                 values.append(v)

@@ -286,3 +286,64 @@ def queue_trace_stats(events: Sequence[Event], gated: bool = False) -> Dict[str,
         "fifo": pops_fifo,
         "pops": pop_order,
     }
+
+
+# -- derived-state ledgers ------------------------------------------------------
+
+
+def _remembered_calls(events: Sequence[Event]) -> List[Tuple[str, Tuple[Term, ...]]]:
+    out = []
+    for e in events:
+        if e.kind not in PAST_LIKE:
+            continue
+        if isinstance(e.payload, Compound):
+            out.append((e.payload.functor, e.payload.args))
+        else:
+            out.append((str(e.payload.value), ()))
+    return out
+
+
+def queue_contents(events: Sequence[Event]) -> List[Tuple[Term, Term]]:
+    """``(entry, value)`` rows left in the queue, rebuilt by list surgery."""
+    rows: List[Tuple[Term, Term]] = []
+    pushes = 0
+    for name, args in _remembered_calls(events):
+        if name == "push" and len(args) == 2:
+            pushes += 1
+            rows.append((Const(f"e{pushes}"), args[0]))
+        elif name == "pop" and len(args) == 2 and isinstance(args[0], Const):
+            rows = [row for row in rows if str(row[0].value) != str(args[0].value)]
+    return rows
+
+
+def stock_totals(events: Sequence[Event], initial: Sequence[Tuple[Term, int]]) -> List[Tuple[Term, int]]:
+    """``(resource, level)`` rows: initial stock, then supplies minus consumes."""
+    totals: List[List] = []
+    for resource, amount in list(initial) + [
+        (args[0], args[1].value if name == "supply" else -args[1].value)
+        for name, args in _remembered_calls(events)
+        if name in ("supply", "consume") and len(args) == 2
+        and isinstance(args[1], Const) and isinstance(args[1].value, int)
+    ]:
+        for row in totals:
+            if row[0] == resource:
+                row[1] += amount
+                break
+        else:
+            totals.append([resource, amount])
+    return [(resource, level) for resource, level in totals]
+
+
+def battery_charge(events: Sequence[Event], drains: Dict[str, int], full: int = 100) -> int:
+    """Charge after the events: full at the last recharge, minus later drains."""
+    recharges = [
+        i for i, e in enumerate(events)
+        if e.kind in PAST_LIKE and e.payload == Const("recharge_battery")
+    ]
+    after = events[recharges[-1] + 1 :] if recharges else events
+    spent = 0
+    for e in after:
+        if e.kind is EventKind.ACTION:
+            name = e.payload.functor if isinstance(e.payload, Compound) else str(e.payload.value)
+            spent += drains.get(name, 0)
+    return full - spent

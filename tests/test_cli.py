@@ -41,6 +41,13 @@ def test_injected_duplicate_exits_with_one(tmp_path):
     assert code == 1
 
 
+def test_injected_queue_too_large_exits_two(tmp_path, capsys):
+    args = ["scenario", "queue", "--size", "301", "--inject-duplicate", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_check_accepts_valid_program(tmp_path, capsys):
     path = tmp_path / "ok.ailtl"
     path.write_text("facts:\nquantity(r, 7).\n", encoding="utf-8")

@@ -102,6 +102,15 @@ def test_replay_determinism_and_conservation(spec):
     assert a.p_size + a.pnv_size == len(a.log)
 
 
+@given(_timelines, st.integers(-1, 6), st.integers(0, 22))
+def test_since_reads_from_a_cursor_by_timestamp(spec, ts, start):
+    h = History()
+    for kind, (f, a), t in sorted(spec, key=lambda s: s[2]):
+        h.record(Event(kind, Compound(f, (Const(a),)), t))
+    expected = [(i, e) for i, e in enumerate(h.log) if i >= start and e.timestamp >= ts]
+    assert list(h.since(ts, start)) == expected
+
+
 def test_state_sequence_advances_only_when_dirty():
     seq = StateSequence()
     assert seq.advance(5, True, (1, 0))

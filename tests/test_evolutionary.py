@@ -245,6 +245,25 @@ def test_preventive_countermeasure_fires_per_hit_and_keeps_instance_alive():
     assert not rt.step(h, battery_kb(), 40).effects
 
 
+def test_preventive_hit_fires_once_across_rebindings():
+    # the precondition binds Y, then drops it: {X} -> {X, Y=5} -> {X};
+    # boom(3) hits under the first and third binding, and fires once
+    expr = EvolutionaryExpr(
+        core=never(Literal(Const("impossible")), m=100),
+        pre=seq(elem("a", Var("X"), quant=Quant.PLUS), elem("b", Var("Y"), quant=Quant.PLUS)),
+        breaking=seq(elem("boom", Var("Y"))),
+        eta3=(ReactionAtom(Compound("hold", (Var("Y"),))),),
+    )
+    timeline = [
+        (1, [A(atom("a", Const(1)), 1), A(atom("boom", Const(3)), 1)], None),
+        (2, [A(atom("b", Const(5)), 2)], None),
+        (3, [A(atom("b", Const(6)), 3)], None),
+    ]
+    rt, _, effects = drive(expr, timeline)
+    assert rt.status is ExprStatus.ARMED
+    assert [(t, e.payload) for t, e in effects] == [(1, Compound("hold", (Const(3),)))]
+
+
 def test_step_preventive_resolves_the_preference_directly():
     expr = battery_expr(with_eta3=True)
     kb = battery_kb()

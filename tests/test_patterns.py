@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ailtl.events import Event, EventKind, History
 from ailtl.kb import FactBase
@@ -13,11 +14,12 @@ from ailtl.patterns import (
     PatternElem,
     PatternSeq,
     Prefix,
+    PrefixCursor,
     Quant,
     match_prefix,
-    occurs_any,
+    occurrences,
 )
-from ailtl.terms import Const, Var, Wildcard, atom
+from ailtl.terms import Compound, Const, Var, Wildcard, atom
 
 from oracles import oracle_match_prefix
 
@@ -130,30 +132,46 @@ def test_classification_via_fact_base():
     kb.assert_fact(atom("extensive_usage_action", Const("dry_water")))
     p = seq(elem("extensive_usage_action", Var("Act"), quant=Quant.STAR))
     h = log(Const("dry_water"))
-    hit = occurs_any(p, h, 0, kb)
-    assert hit is not None
-    event, binding = hit
-    assert event.payload == Const("dry_water")
+    [(idx, event, binding)] = occurrences(p, h, 0, kb)
+    assert idx == 0 and event.payload == Const("dry_water")
     assert binding["Act"] == Const("dry_water")
 
 
-def test_occurs_any_on_empty_log():
+def test_occurrences_on_empty_log():
     p = seq(elem("boom"))
-    assert occurs_any(p, History(), 0) is None
+    assert list(occurrences(p, History(), 0)) == []
 
 
-def test_occurs_any_returns_earliest_hit():
+def test_occurrences_come_in_log_order():
     p = seq(elem("boom"), elem("crash"))
     h = log(Const("crash"), Const("boom"))
-    event, _ = occurs_any(p, h, 0)
-    assert event.payload == Const("crash") and event.timestamp == 1
+    hits = [(event.payload, event.timestamp) for _, event, _ in occurrences(p, h, 0)]
+    assert hits == [(Const("crash"), 1), (Const("boom"), 2)]
 
 
-def test_occurs_any_is_strictly_after_since():
+def test_occurrences_are_strictly_after_since():
     p = seq(elem("boom"))
     h = log(Const("boom"))  # at t=1
-    assert occurs_any(p, h, 1) is None
-    assert occurs_any(p, h, 0) is not None
+    assert list(occurrences(p, h, 1)) == []
+    assert len(list(occurrences(p, h, 0))) == 1
+
+
+def test_history_dependent_classifier_is_rechecked_from_scratch():
+    # flagged(p) holds once some flag(p) has been logged, so an event read
+    # as irrelevant may turn relevant later; the cursor must not miss it
+    def flagged(kb, history, args, binding):
+        marks = {e.payload.args[0] for e in history.log if isinstance(e.payload, Compound)}
+        if args[0] in marks:
+            yield dict(binding)
+
+    kb = FactBase()
+    kb.register("flagged", 1, flagged)
+    p = seq(elem("flagged", Var("X")))
+    h = log(A)
+    cursor = PrefixCursor()
+    assert match_prefix(p, h, 0, kb, cursor=cursor) == NoEvents()
+    h.record(Event(EventKind.ACTION, atom("flag", A), 2))
+    assert match_prefix(p, h, 0, kb, cursor=cursor) == Complete({"X": A})
 
 
 def test_monotone_triggering():
@@ -192,19 +210,47 @@ def test_exhaustive_equivalence_with_oracle(pattern):
             assert got == expected, f"log={combo}"
 
 
+_X, _Y = Const("x"), Const("y")
+_BINDING_PAYLOADS = (atom("f", _X), atom("f", _Y), atom("g", _X))
+_BINDING_PATTERNS = [
+    seq(elem("f", Var("V"), quant=Quant.PLUS)),
+    seq(elem("f", Var("V")), elem("g", Var("V"))),
+    seq(elem("f", Var("V"), quant=Quant.PLUS), elem("g", Var("V"))),
+]
+
+
 def test_binding_equivalence_with_oracle():
-    x_ = Const("x")
-    y_ = Const("y")
-    payloads = (atom("f", x_), atom("f", y_), atom("g", x_))
-    patterns = [
-        seq(elem("f", Var("V"), quant=Quant.PLUS)),
-        seq(elem("f", Var("V")), elem("g", Var("V"))),
-        seq(elem("f", Var("V"), quant=Quant.PLUS), elem("g", Var("V"))),
-    ]
-    for pattern in patterns:
+    for pattern in _BINDING_PATTERNS:
         for length in range(5):
-            for combo in itertools.product(payloads, repeat=length):
+            for combo in itertools.product(_BINDING_PAYLOADS, repeat=length):
                 h = log(*combo)
                 got = match_prefix(pattern, h, 0)
                 expected = oracle_match_prefix(pattern, h.log, 0)
                 assert got == expected, f"pattern={pattern} log={combo}"
+
+
+# a cursor fed the log in chunks must agree, after every chunk, with the
+# oracle run on the whole log so far -- also when its seed changes midway
+_FEEDS = [(p, (A, B, C)) for p in _CATALOGUE] + [(p, _BINDING_PAYLOADS) for p in _BINDING_PATTERNS]
+_SEEDS = ({}, {"V": _X}, {"V": _Y})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cursor_fed_in_chunks_agrees_with_the_oracle(data):
+    pattern, alphabet = data.draw(st.sampled_from(_FEEDS))
+    since = data.draw(st.integers(0, 3))
+    chunks = data.draw(
+        st.lists(
+            st.tuples(st.lists(st.sampled_from(alphabet), max_size=3), st.sampled_from(_SEEDS)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    h = History()
+    cursor = PrefixCursor()
+    for tick, (payloads, seed) in enumerate(chunks):
+        for payload in payloads:
+            h.record(Event(EventKind.ACTION, payload, tick))
+        got = match_prefix(pattern, h, since, seed=seed, cursor=cursor)
+        assert got == oracle_match_prefix(pattern, h.log, since, seed=seed), f"chunks={chunks}"

@@ -82,6 +82,16 @@ def test_queue_injected_duplicates_match_oracle(inject):
     assert report.violations == inject
 
 
+def test_injected_queue_above_the_item_range_is_a_usage_error():
+    # 301 distinct items cannot be drawn from [1, 300]
+    with pytest.raises(ValueError):
+        gen_scenario("queue", size=301, seed=7, inject_duplicates=1)
+    with pytest.raises(ValueError):
+        gen_scenario("queue", size=5, seed=7, inject_duplicates=6)
+    program_text, trace_text = gen_scenario("queue", size=300, seed=7, inject_duplicates=1)
+    assert len(parse_trace(trace_text)) == 2 * (300 + 1)  # ungated: every push enters and is popped
+
+
 def test_supply_hard_variant_matches_ledger_oracle():
     report, events = run_scenario("supply")
     tick, level = supply_ledger(events, 5)
