@@ -9,7 +9,7 @@ attempted actions.  Programs and traces are plain text files; see
 point.
 """
 
-from .events import Event, EventKind, History, StateSequence, TimedState, TimestampRegression
+from .events import Event, EventKind, History, TimestampRegression
 from .evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
 from .kb import Comparison, EventRef, FactBase, Literal, NonGroundFact, ReservedFunctor, UnboundBuiltinArg
 from .metagate import (

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .events import Event, EventKind, KIND_BY_LETTER
-from .kb import Comparison, Conj, EventRef, Literal
+from .kb import Comparison, Conj, EventRef, Literal, render_literal
 from .metagate import MetaRule, Polarity
 from .patterns import PatternElem, PatternSeq, Quant
 from .evolutionary import EvolutionaryExpr
@@ -610,17 +610,6 @@ def render_trace(events: List[Event]) -> str:
     return "".join(render_event(e) + "\n" for e in events)
 
 
-def _render_literal(lit: Literal) -> str:
-    body = lit.body
-    if isinstance(body, Comparison):
-        text = f"{render_term(body.lhs)} {body.op} {render_term(body.rhs)}"
-    elif isinstance(body, EventRef):
-        text = _render_head(body.template, attach_kind(_functor(body.template), body.kind))
-    else:
-        text = render_term(body)
-    return f"not {text}" if lit.negated else text
-
-
 def _functor(t: Term) -> str:
     fa = functor_of(t)
     assert fa is not None
@@ -634,7 +623,7 @@ def _render_head(t: Term, name: str) -> str:
 
 
 def _render_conj(conj: Conj) -> str:
-    return ", ".join(_render_literal(l) for l in conj)
+    return ", ".join(render_literal(l) for l in conj)
 
 
 def _render_pattern_elem(e: PatternElem) -> str:

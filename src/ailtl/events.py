@@ -1,4 +1,4 @@
-"""Event history and the monotonic timed state sequence.
+"""Event history: the ordered log and the newest entry per event key.
 
 Events carry one of six kinds, following the usual agent-language postfix
 conventions (``E`` external, ``I`` internal, ``N`` present, ``P`` past,
@@ -149,32 +149,3 @@ class History:
 
 # The fact base only needs read access; History itself is the view.
 HistoryView = History
-
-
-@dataclass(frozen=True)
-class TimedState:
-    index: int
-    time: int
-    snapshot: Tuple[int, int]  # (events recorded, fact-base version)
-
-
-class StateSequence:
-    """Monotonic timed state sequence: a new state only when something changed."""
-
-    def __init__(self, start_time: int = 0, snapshot: Tuple[int, int] = (0, 0)) -> None:
-        self.states: List[TimedState] = [TimedState(0, start_time, snapshot)]
-
-    @property
-    def current(self) -> TimedState:
-        return self.states[-1]
-
-    def advance(self, now: int, dirty: bool, snapshot: Optional[Tuple[int, int]] = None) -> bool:
-        """Append state i+1 at time ``now`` iff the snapshot changed."""
-        if now < self.current.time:
-            raise TimestampRegression(f"state time {now} < current {self.current.time}")
-        if not dirty:
-            return False
-        if snapshot is None:
-            snapshot = self.current.snapshot
-        self.states.append(TimedState(self.current.index + 1, now, snapshot))
-        return True

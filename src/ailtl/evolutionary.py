@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .events import EventKind, History
 from .kb import Comparison, EventRef, FactBase
@@ -117,6 +117,17 @@ class StepOutcome:
     if_viol_ns: int = 0
 
 
+class _Check(NamedTuple):
+    """The inputs and the result of an evaluated check."""
+
+    kb: FactBase
+    version: int
+    binding: Binding
+    history: Optional[History]  # None when the check does not read the log
+    log_length: int
+    result: Tuple[Optional[bool], Binding]
+
+
 class ExprRuntime:
     """Live status machine for one expression instance.
 
@@ -129,7 +140,9 @@ class ExprRuntime:
     cursor lives until the first check, the expected-future cursor until
     its first mismatch, and both are dropped when the instance ends.  The
     breaking cursor is the log length at the previous scan, kept per
-    binding the scan has run under.
+    binding the scan has run under.  The inputs and result of the last
+    evaluated check are kept too, until the instance ends: a due check
+    whose inputs have not moved reuses that result (see ``_evaluate``).
     """
 
     def __init__(self, expr: EvolutionaryExpr, scan_since: int = -1) -> None:
@@ -146,6 +159,7 @@ class ExprRuntime:
         self._breaking_at = 0
         # (binding, log length read under it) of each binding replaced so far
         self._breaking_past: Tuple[Tuple[Binding, int], ...] = ()
+        self._last: Optional[_Check] = None
 
     # -- helpers --------------------------------------------------------
 
@@ -161,6 +175,7 @@ class ExprRuntime:
         if new in TERMINAL_STATUSES:
             self._future = None
             self._breaking_past = ()
+            self._last = None
 
     def _fire(self, out: StepOutcome, channel: str, reaction: Reaction, kb: FactBase, history: History, binding: Binding) -> None:
         for kind, payload in fire_reaction(reaction, kb, binding, history):
@@ -305,13 +320,38 @@ class ExprRuntime:
             verdict = close_core(self.core, self.expr.core.op)
             self._settle(out, history, kb, verdict, self.binding, holds=None)
             return
-        holds, binding = eval_once(self.expr.core, kb, history, self.binding)
+        holds, binding = self._evaluate(history, kb)
         out.evaluated = True
         self.eval_ticks.append(now)
         if holds is None:
             return  # context not applicable in this state
         verdict = step_core(self.core, self.expr.core.op, holds, now)
         self._settle(out, history, kb, verdict, binding, holds)
+
+    def _evaluate(self, history: History, kb: FactBase) -> Tuple[Optional[bool], Binding]:
+        """``eval_once``, or the previous check's result when none of its inputs moved.
+
+        A check reads the fact base at its version, the instance's binding
+        (compared by value: the precondition hands over a fresh but equal
+        one on every read) and, when the plan of the formula or its
+        context reads the history, the log up to its length.  A
+        registration moves the version too, so the plans stay the same
+        while it stands.
+        """
+        last = self._last
+        if (
+            last is not None
+            and last.kb is kb
+            and last.version == kb.version
+            and last.binding == self.binding
+            and (last.history is None or (last.history is history and last.log_length == len(history.log)))
+        ):
+            return last.result
+        f = self.expr.core
+        result = eval_once(f, kb, history, self.binding)
+        reads = kb.plan(f.phi).reads_history or kb.plan(f.chi).reads_history
+        self._last = _Check(kb, kb.version, self.binding, history if reads else None, len(history.log), result)
+        return result
 
     def _settle(
         self,

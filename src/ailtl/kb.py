@@ -17,12 +17,24 @@ Negation is negation-as-failure restricted to call-time-ground negated
 literals (wildcards allowed, unbound variables not).  Solutions are
 produced leftmost-literal-first in store-insertion order, so identical
 store + query always yields the identical solution sequence.
+
+Each distinct conjunction is compiled once into a :class:`Plan`, kept by
+the fact base until an evaluator is registered.  Callers pass run-time
+values through the seed binding rather than substituting them into the
+conjunction, so the plans stay as few as the program's conjunctions.
+
+An evaluator must be a function of its arguments, the binding, the fact
+base and the history's log: given the same four it yields the same
+bindings.  The log only grows, so its length stands for it; with the
+fact-base ``version`` it identifies everything a plan reads.  Monitors
+rely on this to reuse a check's result while none of these has moved.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .events import EventKind, HistoryView
 from .terms import (
@@ -30,6 +42,8 @@ from .terms import (
     Compound,
     Const,
     Term,
+    Var,
+    Wildcard,
     functor_of,
     is_ground,
     match,
@@ -85,15 +99,6 @@ Evaluator = Callable[["FactBase", Optional[HistoryView], Tuple[Term, ...], Bindi
 CostFn = Callable[[Term], Optional[int]]
 
 
-def subst_literal(lit: Literal, binding: Binding) -> Literal:
-    body = lit.body
-    if isinstance(body, Comparison):
-        return Literal(Comparison(body.op, subst(body.lhs, binding), subst(body.rhs, binding)), lit.negated)
-    if isinstance(body, EventRef):
-        return Literal(EventRef(body.kind, subst(body.template, binding)), lit.negated)
-    return Literal(subst(body, binding), lit.negated)
-
-
 def render_literal(lit: Literal) -> str:
     body = lit.body
     if isinstance(body, Comparison):
@@ -123,6 +128,7 @@ class FactBase:
         self._present: set = set()
         self._evaluators: Dict[Tuple[str, int], Evaluator] = {}
         self._costs: Dict[str, CostFn] = {}
+        self._plans: Dict[Conj, Plan] = {}
         self.version = 0
 
     # -- mutation ------------------------------------------------------
@@ -169,6 +175,8 @@ class FactBase:
         if (name, arity) in self._store and self._store[(name, arity)]:
             raise ReservedFunctor(f"{name}/{arity} already has stored facts")
         self._evaluators[(name, arity)] = fn
+        self._plans.clear()  # plans classified the functor as stored
+        self.version += 1
 
     def evaluates(self, name: str, arity: int) -> bool:
         """Is ``name/arity`` answered by a registered evaluator?"""
@@ -199,89 +207,214 @@ class FactBase:
         history: Optional[HistoryView] = None,
     ) -> Iterator[Binding]:
         """All bindings satisfying the conjunction, left to right."""
-        literals = tuple(conj)
-        return self._solve(literals, 0, dict(seed or {}), history)
+        return self.plan(tuple(conj)).solutions(dict(seed or {}), history)
 
-    def _solve(self, conj: Conj, i: int, binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
-        if i == len(conj):
-            yield binding
-            return
-        lit = conj[i]
-        if lit.negated:
-            self._check_negation_ground(lit, binding)
-            if next(self._solutions(lit.body, binding, history), None) is None:
-                yield from self._solve(conj, i + 1, binding, history)
-            return
-        for extended in self._solutions(lit.body, binding, history):
-            yield from self._solve(conj, i + 1, extended, history)
+    def plan(self, conj: Conj) -> "Plan":
+        """The plan of ``conj``, compiled on its first use and kept until ``register``."""
+        plan = self._plans.get(conj)
+        if plan is None:
+            plan = self._plans[conj] = Plan(tuple(self._compile(lit) for lit in conj))
+        return plan
 
-    def _check_negation_ground(self, lit: Literal, binding: Binding) -> None:
+    def _compile(self, lit: Literal) -> Step:
         body = lit.body
-        inner = body.template if isinstance(body, EventRef) else body
         if isinstance(body, Comparison):
-            return  # comparison evaluation enforces groundness itself
-        for name in variables(inner):
-            if name not in binding:
-                raise UnboundBuiltinArg(
-                    f"negated literal {render_literal(lit)} has unbound variable {name}"
-                )
+            step = Step(_comparison(body), False)
+        elif isinstance(body, EventRef):
+            step = Step(_event_ref(body), True)
+        elif isinstance(body, Var):
+            step = Step(self._bound_atom(body.name), True)
+        else:
+            key = functor_of(body)
+            if key is None:
+                step = Step(_nothing, False)  # an integer or a wildcard is never a fact
+            elif key in self._evaluators:
+                step = Step(self._evaluated(self._evaluators[key], body), True)
+            elif is_ground(body):
+                step = Step(self._member(body), False)
+            else:
+                step = Step(self._scan(key, body), False)
+        if lit.negated:
+            step = Step(_negation(lit, step.solve), step.reads_history)
+        return step
 
-    def _solutions(
-        self, body: Union[Term, Comparison, EventRef], binding: Binding, history: Optional[HistoryView]
-    ) -> Iterator[Binding]:
-        if isinstance(body, Comparison):
-            if self._compare(body, binding):
-                yield dict(binding)
-            return
-        if isinstance(body, EventRef):
-            if history is None:
+    def _member(self, fact: Term) -> Solve:
+        present = self._present
+
+        def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+            if fact in present:
+                yield binding
+
+        return solve
+
+    def _scan(self, key: Tuple[str, int], template: Term) -> Solve:
+        """Stored atom with variables: scan its bucket, or test membership once all are bound."""
+        store, present = self._store, self._present
+        names = tuple(dict.fromkeys(variables(template)))
+        probe = None if _has_wildcard(template) else template
+
+        def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+            if probe is not None and all(name in binding for name in names):
+                if subst(probe, binding) in present:
+                    yield binding
                 return
-            event = history.latest_for_filter(body.kind, *functor_of(body.template))
-            if event is None:
-                return
-            extended = match(body.template, event.payload, binding)
-            if extended is not None:
-                yield extended
-            return
-        key = functor_of(subst(body, binding))
-        if key is None:
-            return
-        evaluator = self._evaluators.get(key)
-        if evaluator is not None:
-            args = body.args if isinstance(body, Compound) else ()
+            for fact in store.get(key, ()):
+                extended = match(template, fact, binding)
+                if extended is not None:
+                    yield extended
+
+        return solve
+
+    def _evaluated(self, evaluator: Evaluator, template: Term) -> Solve:
+        args = template.args if isinstance(template, Compound) else ()
+
+        def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
             yield from evaluator(self, history, tuple(subst(a, binding) for a in args), binding)
-            return
-        for fact in self._store.get(key, ()):
-            extended = match(body, fact, binding)
+
+        return solve
+
+    def _bound_atom(self, name: str) -> Solve:
+        """A variable used as a literal: the atom it is bound to, looked up when reached."""
+        present, evaluators = self._present, self._evaluators
+
+        def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+            atom = binding.get(name)
+            key = functor_of(atom) if atom is not None else None
+            if key is None:
+                return
+            evaluator = evaluators.get(key)
+            if evaluator is not None:
+                yield from evaluator(self, history, atom.args if isinstance(atom, Compound) else (), binding)
+            elif atom in present:
+                yield binding
+
+        return solve
+
+
+Solve = Callable[[Binding, Optional[HistoryView]], Iterator[Binding]]
+
+
+class Step(NamedTuple):
+    """One literal of a plan: its solver, and whether it reads the history."""
+
+    solve: Solve
+    reads_history: bool
+
+
+class Plan:
+    """A conjunction compiled against one fact base.
+
+    Each literal is classified once into a step: a ground stored atom is a
+    membership test, a stored atom with variables a scan of its bucket, an
+    evaluator a call, a comparison direct integer or term operations, an
+    event reference a lookup of the newest matching history entry, a
+    variable the atom it is bound to; a negated step succeeds when its
+    positive form has no solution.  The
+    steps nest left to right, so solutions come leftmost-literal-first in
+    store-insertion order.  ``reads_history`` is true when any step is an
+    event reference or may call an evaluator: only then can the answer
+    change while the fact base stays at one version.
+    """
+
+    __slots__ = ("reads_history", "solutions")
+
+    def __init__(self, steps: Tuple[Step, ...]) -> None:
+        self.reads_history = any(step.reads_history for step in steps)
+        solve: Solve = steps[-1].solve if steps else _unit
+        for step in reversed(steps[:-1]):
+            solve = _then(step.solve, solve)
+        self.solutions = solve
+
+
+def _unit(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+    yield binding
+
+
+def _nothing(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+    return
+    yield
+
+
+def _then(first: Solve, rest: Solve) -> Solve:
+    def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+        for extended in first(binding, history):
+            yield from rest(extended, history)
+
+    return solve
+
+
+def _negation(lit: Literal, positive: Solve) -> Solve:
+    """Negation as failure; the literal must be ground but for wildcards when reached."""
+    body = lit.body
+    if isinstance(body, Comparison):
+        names: Tuple[str, ...] = ()  # comparison evaluation enforces groundness itself
+    else:
+        names = tuple(dict.fromkeys(variables(body.template if isinstance(body, EventRef) else body)))
+
+    def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+        for name in names:
+            if name not in binding:
+                raise UnboundBuiltinArg(f"negated literal {render_literal(lit)} has unbound variable {name}")
+        if next(positive(binding, history), None) is None:
+            yield binding
+
+    return solve
+
+
+def _event_ref(ref: EventRef) -> Solve:
+    kind, template = ref.kind, ref.template
+    functor, arity = functor_of(template)
+
+    def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+        event = history.latest_for_filter(kind, functor, arity) if history is not None else None
+        if event is not None:
+            extended = match(template, event.payload, binding)
             if extended is not None:
                 yield extended
 
-    def _compare(self, cmp: Comparison, binding: Binding) -> bool:
-        lhs = subst(cmp.lhs, binding)
-        rhs = subst(cmp.rhs, binding)
-        for side in (lhs, rhs):
-            if not is_ground(side):
-                raise UnboundBuiltinArg(
-                    f"comparison argument not ground: {render_term(side)}"
-                )
-        if cmp.op == "=":
-            return lhs == rhs
-        if cmp.op == "\\=":
-            return lhs != rhs
-        if not (isinstance(lhs, Const) and isinstance(lhs.value, int)):
-            return False
-        if not (isinstance(rhs, Const) and isinstance(rhs.value, int)):
-            return False
-        a, b = lhs.value, rhs.value
-        if cmp.op == "<":
-            return a < b
-        if cmp.op == "<=":
-            return a <= b
-        if cmp.op == ">":
-            return a > b
-        if cmp.op == ">=":
-            return a >= b
-        raise ValueError(f"unknown comparison operator {cmp.op}")
+    return solve
+
+
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _comparison(cmp: Comparison) -> Solve:
+    """``lhs op rhs`` on ground sides: term (in)equality, or an order on integers."""
+    lhs, rhs, op = cmp.lhs, cmp.rhs, cmp.op
+    if op == "=":
+        holds: Callable[[Term, Term], bool] = operator.eq
+    elif op == "\\=":
+        holds = operator.ne
+    else:
+        order = _ORDER.get(op)
+
+        def holds(a: Term, b: Term) -> bool:
+            if not (isinstance(a, Const) and isinstance(a.value, int)):
+                return False
+            if not (isinstance(b, Const) and isinstance(b.value, int)):
+                return False
+            if order is None:
+                raise ValueError(f"unknown comparison operator {op}")
+            return order(a.value, b.value)
+
+    def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+        if holds(_ground_side(lhs, binding), _ground_side(rhs, binding)):
+            yield binding
+
+    return solve
+
+
+def _ground_side(t: Term, binding: Binding) -> Term:
+    side = subst(t, binding)
+    if not is_ground(side):
+        raise UnboundBuiltinArg(f"comparison argument not ground: {render_term(side)}")
+    return side
+
+
+def _has_wildcard(t: Term) -> bool:
+    if isinstance(t, Wildcard):
+        return True
+    return isinstance(t, Compound) and any(_has_wildcard(a) for a in t.args)
 
 
 def yield_matches(

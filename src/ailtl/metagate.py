@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .events import History
-from .kb import Conj, FactBase, subst_literal
+from .kb import Conj, FactBase
 from .terms import Binding, Compound, Const, Term, Var, Wildcard, is_ground, render_term
 
 
@@ -128,9 +128,7 @@ def _lowered(binding: MetaBinding) -> Binding:
 
 
 def _body_succeeds(rule: MetaRule, binding: MetaBinding, kb: FactBase, history: Optional[History]) -> bool:
-    seed = _lowered(binding)
-    body = tuple(subst_literal(lit, seed) for lit in rule.body)
-    return next(kb.query(body, history=history), None) is not None
+    return next(kb.query(rule.body, seed=_lowered(binding), history=history), None) is not None
 
 
 def gate(

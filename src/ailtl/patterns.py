@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .events import Event, EventKind, History, PAST_LIKE
 from .kb import FactBase, Literal
-from .terms import Binding, Compound, Term, match
+from .terms import Binding, Compound, Term, Var, match
 
 _CONFLICT = object()  # demoted in-run variable
 
@@ -108,10 +108,14 @@ def template_match(
     hit = match(t.args[0], event.payload, binding)
     if hit is None:
         return None
-    probe = Literal(Compound(t.functor, (event.payload,)))
-    if next(kb.query((probe,), history=history), None) is None:
+    # the payload goes in the seed, so one plan serves every event
+    probe = (Literal(Compound(t.functor, (_CLASSIFIED,))),)
+    if next(kb.query(probe, seed={_CLASSIFIED.name: event.payload}, history=history), None) is None:
         return None
     return hit
+
+
+_CLASSIFIED = Var("Classified")
 
 
 def first_hit(

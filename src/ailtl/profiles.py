@@ -108,13 +108,17 @@ class _QueueState(_Fold):
         return tuple(rows.values())
 
 
+_INITIAL_QUANTITY = (Literal(Compound("initial_quantity", (Var("R"), Var("N")))),)
+_BATTERY_FULL = (Literal(Compound("battery_full", (Var("N"),))),)
+_DRAIN = (Literal(Compound("drain", (Var("A"), Var("D")))),)
+
+
 class _StockState(_Fold):
     reads_facts = True
 
     def _reset(self, kb: FactBase) -> None:
         self._totals: Dict[Term, int] = {}
-        probe = Literal(Compound("initial_quantity", (Var("R"), Var("N"))))
-        for hit in kb.query((probe,)):
+        for hit in kb.query(_INITIAL_QUANTITY):
             self._totals[hit["R"]] = self._totals.get(hit["R"], 0) + hit["N"].value
 
     def _fold(self, kb: FactBase, event: Event) -> None:
@@ -139,16 +143,14 @@ class _BatteryState(_Fold):
     reads_facts = True
 
     def _full_charge(self, kb: FactBase) -> int:
-        probe = Literal(Compound("battery_full", (Var("N"),)))
-        hit = next(kb.query((probe,)), None)
+        hit = next(kb.query(_BATTERY_FULL), None)
         return hit["N"].value if hit else 100
 
     def _drain(self, kb: FactBase, action: Term) -> int:
         fa = functor_of(action)
         if fa is None:
             return 0
-        probe = Literal(Compound("drain", (Const(fa[0]), Var("D"))))
-        hit = next(kb.query((probe,)), None)
+        hit = next(kb.query(_DRAIN, seed={"A": Const(fa[0])}), None)
         return hit["D"].value if hit else 0
 
     def _reset(self, kb: FactBase) -> None:

@@ -1,14 +1,13 @@
 """The monitor engine: event loop, gating, due checks, feedback, reports.
 
 Per incoming event: action events pass through the reflective gate first
-(blocked ones are logged but never recorded), everything recorded lands in
-the history, and the timed state sequence advances when the snapshot
-changed.  After all events of a tick are ingested, every live expression
-instance is stepped against the snapshot (an instance leaves the step
-loop the cycle it turns terminal); reactions and countermeasures
-are emitted as fresh events with the next tick's timestamp and fed back
-through the same gate, so an emission in cycle c is never visible to
-checks before cycle c+1.
+(blocked ones are logged but never recorded), and everything recorded
+lands in the history.  After all events of a tick are ingested, every
+live expression instance is stepped against the snapshot (an instance
+leaves the step loop the cycle it turns terminal); reactions and
+countermeasures are emitted as fresh events with the next tick's
+timestamp and fed back through the same gate, so an emission in cycle c
+is never visible to checks before cycle c+1.
 
 A violated or broken instance is terminal; the engine re-arms a clone
 scoped to later events while the monitored interval is still live, which
@@ -26,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import profiles
 from .dsl import Program
-from .events import Event, EventKind, History, StateSequence
+from .events import Event, EventKind, History
 from .evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
 from .kb import FactBase
 from .metagate import GateDecision, MetaRule, gate
@@ -209,7 +208,6 @@ class Engine:
         self.default_k = int(frequency)
         retention = program.config.get("retention", self.cfg.retention_limit)
         self.history = History(default_limit=int(retention) if retention is not None else None)
-        self.seq = StateSequence()
         self.metarules: List[MetaRule] = list(program.metarules)
         self.instances: List[_Instance] = []  # every instance, in creation order
         self._clone_counts: Dict[str, int] = {}
@@ -259,7 +257,6 @@ class Engine:
         return report
 
     def _ingest(self, report: Report, batch: List[Event], tick: int) -> None:
-        dirty = False
         for e in batch:
             report.events_seen += 1
             if e.kind is EventKind.ACTION:
@@ -268,8 +265,6 @@ class Engine:
                 if decision in (GateDecision.BLOCKED_BY_SOLVE_FAIL, GateDecision.BLOCKED_BY_SOLVE_NOT):
                     continue
             self.history.record(e)
-            dirty = True
-        self.seq.advance(tick, dirty, (len(self.history.log), self.kb.version))
 
     def _check(self, report: Report, tick: int, feedback: Dict[int, List[Event]]) -> None:
         timed = self.cfg.metrics
@@ -302,8 +297,7 @@ class Engine:
                 feedback.setdefault(tick + 1, []).append(Event(eff.kind, eff.payload, tick + 1))
             if not inst.runtime.terminal:
                 live.append(inst)
-            just_ended = any(tr.new in (ExprStatus.VIOLATED, ExprStatus.BROKEN) for tr in out.transitions)
-            if self.cfg.rearm and just_ended:
+            elif self.cfg.rearm and any(tr.new in (ExprStatus.VIOLATED, ExprStatus.BROKEN) for tr in out.transitions):
                 clone = self._respawn(inst, tick)
                 if clone is not None:
                     spawned.append(clone)
@@ -335,7 +329,7 @@ class Engine:
                     )
                 )
             report.final_statuses[inst.name] = status
-            report.eval_ticks[inst.name] = list(inst.runtime.eval_ticks)
+            report.eval_ticks[inst.name] = inst.runtime.eval_ticks
 
 
 def run(program: Program, source: Iterable[Event], config: Optional[EngineConfig] = None) -> Report:

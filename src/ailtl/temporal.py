@@ -132,11 +132,6 @@ class CoreState:
     def terminal(self) -> bool:
         return self.verdict in TERMINAL_VERDICTS
 
-    def in_interval(self, now: int) -> bool:
-        if now < self.lo:
-            return False
-        return self.hi is None or now <= self.hi
-
 
 def step_core(state: CoreState, op: IntervalOp, holds_now: bool, now: int) -> CoreVerdict:
     """Advance the verdict machine with one due check.

@@ -63,14 +63,6 @@ def atom(functor: str, *args: Term) -> Term:
     return Const(functor)
 
 
-def sym(name: str) -> Const:
-    return Const(name)
-
-
-def num(value: int) -> Const:
-    return Const(value)
-
-
 def functor_of(t: Term) -> Optional[Tuple[str, int]]:
     """(functor, arity) of a predicate atom, or None for non-atoms."""
     if isinstance(t, Compound):

@@ -1,9 +1,12 @@
-"""Seeded random generator of well-formed Program values.
+"""Seeded random generator of well-formed Program values and traces for them.
 
 Used by the DSL round-trip tests: generate a Program, render it, parse it
 back, compare structurally.  The generator only builds values the
 concrete syntax can express (identifiers never carry accidental kind
 postfixes, preconditions only close a reaction, intervals are ordered).
+``random_trace`` draws events for a program, mostly ground instances of
+the program's own atoms, so that its patterns, event references and
+gate heads get to match.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import random
 from typing import List, Tuple
 
 from ailtl.dsl import Program
-from ailtl.events import EventKind
+from ailtl.events import Event, EventKind
 from ailtl.evolutionary import EvolutionaryExpr
 from ailtl.kb import Comparison, EventRef, Literal
 from ailtl.metagate import MetaRule, Polarity
@@ -165,3 +168,59 @@ def random_program(rng: random.Random) -> Program:
     ):
         program.facts.append(_atom(rng, ground=True))
     return program
+
+
+def _program_atoms(program: Program) -> List[Term]:
+    """Every atom the program mentions: facts, literals, pattern templates, payloads, gate heads."""
+    atoms: List[Term] = list(program.facts)
+
+    def conj(literals) -> None:
+        for lit in literals:
+            body = lit.body
+            if isinstance(body, EventRef):
+                atoms.append(body.template)
+            elif not isinstance(body, Comparison):
+                atoms.append(body)
+
+    def reaction(elems) -> None:
+        for elem in elems:
+            if isinstance(elem, ReactionAtom):
+                atoms.append(elem.payload)
+                conj(elem.precond)
+
+    for rule in program.metarules:
+        atoms.append(rule.head)
+        conj(rule.body)
+    for _, rule in program.reactive:
+        conj(rule.monitor.phi + rule.monitor.chi)
+        reaction(rule.reaction)
+    for _, expr in program.evolutionary:
+        conj(expr.core.phi + expr.core.chi)
+        for pattern in (expr.pre, expr.future, expr.breaking):
+            atoms.extend(elem.template for elem in pattern.elems)
+        reaction(expr.repair + expr.eta3 + tuple(a for a in (expr.eta1, expr.eta2) if a is not None))
+    return [a for a in atoms if isinstance(a, (Const, Compound))]
+
+
+def _ground(rng: random.Random, t: Term, pool: List[Const]) -> Term:
+    if isinstance(t, (Var, Wildcard)):
+        return rng.choice(pool)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_ground(rng, a, pool) for a in t.args))
+    return t
+
+
+def random_trace(rng: random.Random, program: Program, events: int = 30) -> List[Event]:
+    """``events`` events in timestamp order, 80% of them grounding an atom of ``program``."""
+    atoms = [a for a in _program_atoms(program) if not (isinstance(a, Const) and isinstance(a.value, int))]
+    pool = [Const(0), Const(50), Const("alpha"), Const("beta")]
+    out: List[Event] = []
+    tick = 0
+    for _ in range(events):
+        tick += rng.choice((0, 1, 1, 2, 7))
+        if atoms and rng.random() < 0.8:
+            payload = _ground(rng, rng.choice(atoms), pool)
+        else:
+            payload = _atom(rng, ground=True)
+        out.append(Event(rng.choice(KINDS), payload, tick))
+    return out

@@ -11,10 +11,10 @@ these oracles, never copied from the implementation under test.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ailtl.events import Event, EventKind, PAST_LIKE
-from ailtl.kb import Comparison, FactBase, Literal
+from ailtl.events import Event, EventKind, History, PAST_LIKE
+from ailtl.kb import Comparison, EventRef, FactBase, Literal, UnboundBuiltinArg, render_literal
 from ailtl.patterns import (
     Complete,
     MatchResult,
@@ -24,7 +24,7 @@ from ailtl.patterns import (
     Prefix,
     Quant,
 )
-from ailtl.terms import Binding, Compound, Const, Term, match, subst, variables
+from ailtl.terms import Binding, Compound, Const, Term, functor_of, is_ground, match, render_term, subst, variables
 
 
 # -- conjunctive queries by brute force ------------------------------------
@@ -90,6 +90,77 @@ def _compare(op: str, lhs: Term, rhs: Term) -> bool:
 
 def solutions_as_set(solutions: Iterable[Binding], names: Sequence[str]) -> Set[Tuple]:
     return {tuple(sorted((n, s[n]) for n in names if n in s)) for s in solutions}
+
+
+# -- conjunctive queries by recursive interpretation -----------------------
+
+
+def reference_query(
+    kb: FactBase, conj: Sequence[Literal], seed: Optional[Binding] = None, history: Optional[History] = None
+) -> Iterator[Binding]:
+    """The solution sequence of ``FactBase.query``, by re-dispatching every literal.
+
+    The recursive interpreter the compiled plans replaced: each literal is
+    substituted and classified again at every visit, stored atoms are
+    matched against every fact of their functor in insertion order.
+    """
+    return _ref_solve(kb, tuple(conj), 0, dict(seed or {}), history)
+
+
+def _ref_solve(kb: FactBase, conj: Tuple[Literal, ...], i: int, binding: Binding, history) -> Iterator[Binding]:
+    if i == len(conj):
+        yield binding
+        return
+    lit = conj[i]
+    if lit.negated:
+        body = lit.body
+        if not isinstance(body, Comparison):
+            inner = body.template if isinstance(body, EventRef) else body
+            for name in variables(inner):
+                if name not in binding:
+                    raise UnboundBuiltinArg(f"negated literal {render_literal(lit)} has unbound variable {name}")
+        if next(_ref_solutions(kb, body, binding, history), None) is None:
+            yield from _ref_solve(kb, conj, i + 1, binding, history)
+        return
+    for extended in _ref_solutions(kb, lit.body, binding, history):
+        yield from _ref_solve(kb, conj, i + 1, extended, history)
+
+
+def _ref_solutions(kb: FactBase, body, binding: Binding, history) -> Iterator[Binding]:
+    if isinstance(body, Comparison):
+        lhs, rhs = subst(body.lhs, binding), subst(body.rhs, binding)
+        for side in (lhs, rhs):
+            if not is_ground(side):
+                raise UnboundBuiltinArg(f"comparison argument not ground: {render_term(side)}")
+        if _compare(body.op, lhs, rhs):
+            yield dict(binding)
+        return
+    if isinstance(body, EventRef):
+        if history is None:
+            return
+        event = history.latest_for_filter(body.kind, *functor_of(body.template))
+        if event is None:
+            return
+        extended = match(body.template, event.payload, binding)
+        if extended is not None:
+            yield extended
+        return
+    key = functor_of(subst(body, binding))
+    if key is None:
+        return
+    evaluator = kb._evaluators.get(key)
+    if evaluator is not None:
+        # a variable literal passes the arguments of the atom it is bound to
+        atom = subst(body, binding)
+        args = atom.args if isinstance(atom, Compound) else ()
+        yield from evaluator(kb, history, tuple(subst(a, binding) for a in args), binding)
+        return
+    for fact in list(kb.facts()):
+        if functor_of(fact) != key:
+            continue
+        extended = match(body, fact, binding)
+        if extended is not None:
+            yield extended
 
 
 # -- interval operators by direct quantification ---------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from ailtl.events import Event, EventKind, History, StateSequence, TimestampRegression
+from ailtl.events import Event, EventKind, History, TimestampRegression
 from ailtl.terms import Compound, Const, atom
 
 
@@ -110,24 +110,3 @@ def test_since_reads_from_a_cursor_by_timestamp(spec, ts, start):
     expected = [(i, e) for i, e in enumerate(h.log) if i >= start and e.timestamp >= ts]
     assert list(h.since(ts, start)) == expected
 
-
-def test_state_sequence_advances_only_when_dirty():
-    seq = StateSequence()
-    assert seq.advance(5, True, (1, 0))
-    assert not seq.advance(6, False)
-    assert seq.advance(7, True, (2, 0))
-    times = [s.time for s in seq.states]
-    indices = [s.index for s in seq.states]
-    assert times == [0, 5, 7]
-    assert indices == [0, 1, 2]
-
-
-def test_state_sequence_monotonicity_invariant():
-    seq = StateSequence()
-    seq.advance(5, True, (1, 0))
-    seq.advance(5, True, (2, 0))
-    seq.advance(9, True, (3, 0))
-    for prev, cur in zip(seq.states, seq.states[1:]):
-        assert cur.time >= prev.time
-        if cur.time > prev.time:
-            assert cur.snapshot != prev.snapshot

@@ -3,17 +3,20 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ailtl.events import Event, EventKind, History
 from ailtl.kb import (
     Comparison,
+    EventRef,
     FactBase,
     Literal,
     NonGroundFact,
     ReservedFunctor,
     UnboundBuiltinArg,
+    yield_matches,
 )
 from ailtl.terms import Compound, Const, Var, Wildcard, atom
 
-from oracles import brute_force_query, solutions_as_set
+from oracles import brute_force_query, reference_query, solutions_as_set
 
 
 def fact(functor, *args):
@@ -206,3 +209,98 @@ def test_completeness_matches_brute_force(facts, shape, negate_last):
     got = solutions_as_set(kb.query(conj), ["X", "Y"])
     expected = brute_force_query(kb, conj)
     assert got == expected
+
+
+def test_registering_an_evaluator_recompiles_and_moves_the_version():
+    kb = FactBase()
+    conj = (Literal(Compound("even", (Var("N"),))),)
+    assert list(kb.query(conj)) == []  # compiled while even/1 is a stored relation
+    version = kb.version
+    kb.register("even", 1, lambda kb_, hist, args, binding: yield_matches(args, binding, [(Const(0),), (Const(2),)]))
+    assert kb.version > version
+    assert [s["N"] for s in kb.query(conj)] == [Const(0), Const(2)]
+
+
+def test_a_variable_literal_is_answered_as_the_atom_it_is_bound_to():
+    kb = FactBase()
+    kb.assert_fact(fact("p", 1))
+    kb.register("ev", 1, _ev)
+    x = (Literal(Var("X")),)
+    assert list(kb.query(x, seed={"X": fact("p", 1)})) == [{"X": fact("p", 1)}]
+    assert list(kb.query(x, seed={"X": fact("p", 2)})) == []
+    # an evaluator sees the arguments of the bound atom
+    assert list(kb.query(x, seed={"X": fact("ev", 1)}, history=History())) == [{"X": fact("ev", 1)}]
+
+
+# the compiled plans against the recursive interpreter they replaced: the
+# same solution sequence, and the same error at the same point of it
+_ATOMS = [Const("a"), Const("b"), Const(1), Const(2)]
+_VARS = [Var("X"), Var("Y")]
+_args = st.one_of(
+    st.sampled_from(_ATOMS + _VARS + [Wildcard("_")]),
+    st.builds(lambda a: Compound("f", (a,)), st.sampled_from(_ATOMS + _VARS)),
+)
+_templates = st.one_of(
+    st.builds(lambda f, a, b: Compound(f, (a, b)), st.sampled_from(["p", "q"]), _args, _args),
+    st.just(Const("r")),
+)
+_bodies = st.one_of(
+    _templates,
+    st.builds(lambda a: Compound("ev", (a,)), _args),
+    st.builds(Comparison, st.sampled_from(["<", "<=", ">", ">=", "=", "\\="]), _args, _args),
+    st.builds(EventRef, st.sampled_from([EventKind.PRESENT, EventKind.PAST, EventKind.ACTION]), _templates),
+    st.sampled_from(_VARS + [Const(3), Wildcard("_w")]),
+)
+_conjs = st.lists(st.builds(Literal, _bodies, st.booleans()), max_size=4).map(tuple)
+_ground = st.sampled_from(_ATOMS + [Compound("f", (Const("a"),))])
+_stored = st.lists(
+    st.one_of(st.builds(lambda f, a, b: Compound(f, (a, b)), st.sampled_from(["p", "q"]), _ground, _ground), st.just(Const("r"))),
+    max_size=8,
+)
+_logged = st.lists(
+    st.tuples(
+        st.sampled_from([EventKind.PRESENT, EventKind.EXTERNAL, EventKind.ACTION]),
+        st.one_of(st.builds(lambda f, a, b: Compound(f, (a, b)), st.sampled_from(["p", "q"]), _ground, _ground), st.just(Const("r"))),
+    ),
+    max_size=5,
+)
+_seeds = st.dictionaries(
+    st.sampled_from(["X", "Y"]),
+    st.sampled_from(_ATOMS + [Const("r"), Compound("p", (Const("a"), Const(1))), Compound("ev", (Const(1),))]),
+)
+
+
+def _ev(kb_, history, args, binding):
+    """ev(N): N is 1, or the log length modulo 3; nothing without a history."""
+    if history is None:
+        return
+    yield from yield_matches(args, binding, [(Const(1),), (Const(len(history.log) % 3),)])
+
+
+def _sequence(solutions):
+    out = []
+    try:
+        for solution in solutions:
+            out.append(solution)
+            if len(out) > 200:
+                break
+    except UnboundBuiltinArg as exc:
+        out.append(("raised", str(exc)))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(_conjs, _stored, _logged, _seeds, st.booleans())
+def test_plans_give_the_reference_solution_sequence(conj, stored, logged, seed, with_history):
+    kb = FactBase()
+    kb.register("ev", 1, _ev)
+    for f in stored:
+        kb.assert_fact(f)
+    history = None
+    if with_history:
+        history = History()
+        for tick, (kind, payload) in enumerate(logged):
+            history.record(Event(kind, payload, tick))
+    expected = _sequence(reference_query(kb, conj, seed, history))
+    assert _sequence(kb.query(conj, seed, history)) == expected
+    assert _sequence(kb.query(conj, seed, history)) == expected  # and again from the memo
