@@ -12,19 +12,7 @@ point.
 from .events import Event, EventKind, History, TimestampRegression
 from .evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
 from .kb import Comparison, EventRef, FactBase, Literal, NonGroundFact, ReservedFunctor, UnboundBuiltinArg
-from .metagate import (
-    GateDecision,
-    MetaAtom,
-    MetaRule,
-    Name,
-    NonGroundReify,
-    Polarity,
-    acceptable,
-    base_version,
-    gate,
-    reify,
-    unreify,
-)
+from .metagate import GateDecision, MetaRule, NonGroundReify, Polarity, gate
 from .patterns import (
     Complete,
     Mismatch,

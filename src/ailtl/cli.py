@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .dsl import ParseError, parse_program, parse_trace
 from .events import TimestampRegression
@@ -32,6 +32,16 @@ DIAGNOSTIC_ERRORS = (
     OSError,
     ValueError,
 )
+
+METRICS_CSV_HEADER = "f,m,if_eval,max_eval,if_viol_or_broken,total"
+
+
+def _metrics_csv_row(f: int, total: Dict[str, int]) -> str:
+    """The row under ``METRICS_CSV_HEADER``: ``f``, then the summed phase times."""
+    return (
+        f"{f},{total['retrieval_ns']},{total['if_eval_ns']},"
+        f"{total['max_eval_ns']},{total['if_viol_ns']},{total['total_ns']}"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,11 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     text = report.render()
     if args.metrics:
         total = summarize_metrics(report.metrics)
-        text += (
-            "f,m,if_eval,max_eval,if_viol_or_broken,total\n"
-            f"{total['f']},{total['retrieval_ns']},{total['if_eval_ns']},"
-            f"{total['max_eval_ns']},{total['if_viol_ns']},{total['total_ns']}\n"
-        )
+        text += f"{METRICS_CSV_HEADER}\n{_metrics_csv_row(total['f'], total)}\n"
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")
     else:
@@ -123,7 +129,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     counts = [int(part) for part in args.exprs.split(",") if part]
-    print("f,m,if_eval,max_eval,if_viol_or_broken,total")
+    print(METRICS_CSV_HEADER)
     for f in counts:
         program_text, trace_text = bench_scenario(f, args.ticks)
         program = parse_program(program_text)
@@ -136,10 +142,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if best is None or total["total_ns"] < best["total_ns"]:
                 best = total
         assert best is not None
-        print(
-            f"{f},{best['retrieval_ns']},{best['if_eval_ns']},"
-            f"{best['max_eval_ns']},{best['if_viol_ns']},{best['total_ns']}"
-        )
+        print(_metrics_csv_row(f, best))
     return 0
 
 

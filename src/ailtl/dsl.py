@@ -51,7 +51,6 @@ from .terms import Compound, Const, Term, Var, Wildcard, functor_of, render_term
 
 SECTIONS = ("facts", "meta", "rules", "expr", "costs", "config")
 OP_KEYWORDS = {op.value: op for op in TemporalOp}
-KIND_SUFFIXES = {k.value: k for k in EventKind}
 
 TICK_SCALES = {"minute": (60, 1), "second": (3600, 60)}  # H:MM -> h*a + mm*b
 
@@ -76,8 +75,8 @@ class Program:
 
 def split_kind(name: str) -> Tuple[str, Optional[EventKind]]:
     """Strip a trailing event-kind postfix from a functor, if present."""
-    if len(name) > 2 and name[-2] == "_" and name[-1] in KIND_SUFFIXES:
-        return name[:-2], KIND_SUFFIXES[name[-1]]
+    if len(name) > 2 and name[-2] == "_" and name[-1] in KIND_BY_LETTER:
+        return name[:-2], KIND_BY_LETTER[name[-1]]
     return name, None
 
 

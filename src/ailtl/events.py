@@ -2,9 +2,8 @@
 
 Events carry one of six kinds, following the usual agent-language postfix
 conventions (``E`` external, ``I`` internal, ``N`` present, ``P`` past,
-``A`` action, ``G`` goal).  The history keeps, per ``(kind, functor,
-arity)`` key, the most recent entry in ``P`` and every superseded version
-in the ``PNV`` archive, plus the full ordered log.  Time is an
+``A`` action, ``G`` goal).  The history keeps the full ordered log and,
+per ``(kind, functor, arity)`` key, the most recent entry.  Time is an
 engine-local non-negative integer tick; arrival order breaks timestamp
 ties, which keeps replays deterministic.
 
@@ -70,36 +69,18 @@ def _key(e: Event) -> Key:
 
 
 class History:
-    """Ordered log plus current (P) and archived (PNV) versions per key."""
+    """Ordered log plus the current version of each event key."""
 
-    def __init__(
-        self,
-        retention: Optional[Dict[str, int]] = None,
-        default_limit: Optional[int] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self.log: List[Event] = []
         self._p: Dict[Key, Tuple[Event, int]] = {}
-        self._pnv: Dict[Key, List[Event]] = {}
-        self._dropped = 0
-        self._retention = dict(retention or {})
-        self._default_limit = default_limit
 
     def record(self, e: Event) -> None:
         if self.log and e.timestamp < self.log[-1].timestamp:
             raise TimestampRegression(
                 f"timestamp {e.timestamp} < last logged {self.log[-1].timestamp}"
             )
-        key = _key(e)
-        previous = self._p.get(key)
-        if previous is not None:
-            archive = self._pnv.setdefault(key, [])
-            archive.append(previous[0])
-            limit = self._retention.get(key[1], self._default_limit)
-            if limit is not None and len(archive) > limit:
-                dropped = len(archive) - limit
-                del archive[:dropped]
-                self._dropped += dropped
-        self._p[key] = (e, len(self.log))
+        self._p[_key(e)] = (e, len(self.log))
         self.log.append(e)
 
     def latest(self, kind: EventKind, functor: str, arity: int) -> Optional[Event]:
@@ -119,9 +100,6 @@ class History:
                 best = entry
         return best[0] if best else None
 
-    def archived(self, kind: EventKind, functor: str, arity: int) -> List[Event]:
-        return list(self._pnv.get((kind, functor, arity), ()))
-
     def since(self, ts: int, start: int = 0) -> Iterator[Tuple[int, Event]]:
         """Logged events with timestamp >= ``ts`` and their log index.
 
@@ -135,17 +113,6 @@ class History:
             yield i, log[i]
             i += 1
 
-    @property
-    def p_size(self) -> int:
-        return len(self._p)
-
-    @property
-    def pnv_size(self) -> int:
-        return sum(len(v) for v in self._pnv.values()) + self._dropped
-
     def __len__(self) -> int:
         return len(self.log)
 
-
-# The fact base only needs read access; History itself is the view.
-HistoryView = History

@@ -6,8 +6,10 @@ check, a sequence of events expected to happen later without affecting
 the property, and a sequence of breaking events that discharge the
 obligation ("expected not to happen").  On violation the expression fires
 its repair reaction and then the violation countermeasure; on breakage it
-fires the breakage countermeasure; a preventive reaction, when present,
-fires on each breaking hit instead of breaking the instance.
+fires the breakage countermeasure.  A preventive reaction, when present,
+replaces breakage: it fires once per distinct breaking hit, in the cycle
+after the engine has recorded the breaking event, and the instance stays
+armed.
 
 One runtime instance owns one status machine:
 
@@ -279,22 +281,6 @@ class ExprRuntime:
                 self._fire(out, "eta2", (self.expr.eta2,), kb, history, hit)
             return True
         return False
-
-    def step_preventive(self, imminent: Event, kb: FactBase, history: History) -> Optional[List[Effect]]:
-        """Preventive countermeasure for an imminent breaking event.
-
-        When the event unifies with a breaking element while the instance
-        is armed or holding and a preventive reaction exists, its
-        preference construct is resolved and the chosen actions returned;
-        the instance stays alive.  Otherwise None: the standard breaking
-        path applies.
-        """
-        if self.status not in (ExprStatus.ARMED, ExprStatus.HOLDING) or not self.expr.eta3:
-            return None
-        hit = first_hit(self.expr.breaking, imminent, self.binding, kb, history)
-        if hit is None:
-            return None
-        return [Effect("eta3", kind, payload) for kind, payload in fire_reaction(self.expr.eta3, kb, hit, history)]
 
     def _police_future(self, out: StepOutcome, history: History, kb: FactBase) -> None:
         if self._future is None:

@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .events import EventKind, HistoryView
+from .events import EventKind, History
 from .terms import (
     Binding,
     Compound,
@@ -94,7 +94,7 @@ Conj = Tuple[Literal, ...]
 # Evaluator: called with (kb, history-or-None, substituted args, binding),
 # yields extended bindings.  History access is what lets profiles derive
 # state predicates (queue contents, stock level, charge) from the event log.
-Evaluator = Callable[["FactBase", Optional[HistoryView], Tuple[Term, ...], Binding], Iterator[Binding]]
+Evaluator = Callable[["FactBase", Optional[History], Tuple[Term, ...], Binding], Iterator[Binding]]
 
 CostFn = Callable[[Term], Optional[int]]
 
@@ -204,7 +204,7 @@ class FactBase:
         self,
         conj: Iterable[Literal],
         seed: Optional[Binding] = None,
-        history: Optional[HistoryView] = None,
+        history: Optional[History] = None,
     ) -> Iterator[Binding]:
         """All bindings satisfying the conjunction, left to right."""
         return self.plan(tuple(conj)).solutions(dict(seed or {}), history)
@@ -241,7 +241,7 @@ class FactBase:
     def _member(self, fact: Term) -> Solve:
         present = self._present
 
-        def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+        def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
             if fact in present:
                 yield binding
 
@@ -253,7 +253,7 @@ class FactBase:
         names = tuple(dict.fromkeys(variables(template)))
         probe = None if _has_wildcard(template) else template
 
-        def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+        def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
             if probe is not None and all(name in binding for name in names):
                 if subst(probe, binding) in present:
                     yield binding
@@ -268,7 +268,7 @@ class FactBase:
     def _evaluated(self, evaluator: Evaluator, template: Term) -> Solve:
         args = template.args if isinstance(template, Compound) else ()
 
-        def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+        def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
             yield from evaluator(self, history, tuple(subst(a, binding) for a in args), binding)
 
         return solve
@@ -277,7 +277,7 @@ class FactBase:
         """A variable used as a literal: the atom it is bound to, looked up when reached."""
         present, evaluators = self._present, self._evaluators
 
-        def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+        def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
             atom = binding.get(name)
             key = functor_of(atom) if atom is not None else None
             if key is None:
@@ -291,7 +291,7 @@ class FactBase:
         return solve
 
 
-Solve = Callable[[Binding, Optional[HistoryView]], Iterator[Binding]]
+Solve = Callable[[Binding, Optional[History]], Iterator[Binding]]
 
 
 class Step(NamedTuple):
@@ -326,17 +326,17 @@ class Plan:
         self.solutions = solve
 
 
-def _unit(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+def _unit(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
     yield binding
 
 
-def _nothing(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+def _nothing(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
     return
     yield
 
 
 def _then(first: Solve, rest: Solve) -> Solve:
-    def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+    def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
         for extended in first(binding, history):
             yield from rest(extended, history)
 
@@ -351,7 +351,7 @@ def _negation(lit: Literal, positive: Solve) -> Solve:
     else:
         names = tuple(dict.fromkeys(variables(body.template if isinstance(body, EventRef) else body)))
 
-    def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+    def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
         for name in names:
             if name not in binding:
                 raise UnboundBuiltinArg(f"negated literal {render_literal(lit)} has unbound variable {name}")
@@ -365,7 +365,7 @@ def _event_ref(ref: EventRef) -> Solve:
     kind, template = ref.kind, ref.template
     functor, arity = functor_of(template)
 
-    def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+    def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
         event = history.latest_for_filter(kind, functor, arity) if history is not None else None
         if event is not None:
             extended = match(template, event.payload, binding)
@@ -397,7 +397,7 @@ def _comparison(cmp: Comparison) -> Solve:
                 raise ValueError(f"unknown comparison operator {op}")
             return order(a.value, b.value)
 
-    def solve(binding: Binding, history: Optional[HistoryView]) -> Iterator[Binding]:
+    def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
         if holds(_ground_side(lhs, binding), _ground_side(rhs, binding)):
             yield binding
 

@@ -25,8 +25,6 @@ from .events import Event, EventKind, History, PAST_LIKE
 from .kb import FactBase, Literal, yield_matches
 from .terms import Binding, Compound, Const, Term, Var, functor_of
 
-PROFILES = ("queue", "stock", "battery")
-
 
 class UnknownProfile(Exception):
     pass

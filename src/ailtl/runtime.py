@@ -43,7 +43,6 @@ class CapExceeded(EngineError):
 @dataclass
 class EngineConfig:
     default_frequency: int = 1
-    retention_limit: Optional[int] = None
     metrics: bool = False
     emission_cap: int = 1000
     max_feedback_ticks: int = 10000
@@ -206,8 +205,7 @@ class Engine:
             self.kb.register_cost(name, table)
         frequency = program.config.get("frequency", self.cfg.default_frequency)
         self.default_k = int(frequency)
-        retention = program.config.get("retention", self.cfg.retention_limit)
-        self.history = History(default_limit=int(retention) if retention is not None else None)
+        self.history = History()
         self.metarules: List[MetaRule] = list(program.metarules)
         self.instances: List[_Instance] = []  # every instance, in creation order
         self._clone_counts: Dict[str, int] = {}

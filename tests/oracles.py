@@ -11,10 +11,12 @@ these oracles, never copied from the implementation under test.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ailtl.events import Event, EventKind, History, PAST_LIKE
 from ailtl.kb import Comparison, EventRef, FactBase, Literal, UnboundBuiltinArg, render_literal
+from ailtl.metagate import GateDecision, MetaRule, NonGroundReify, Polarity, gate
 from ailtl.patterns import (
     Complete,
     MatchResult,
@@ -24,7 +26,20 @@ from ailtl.patterns import (
     Prefix,
     Quant,
 )
-from ailtl.terms import Binding, Compound, Const, Term, functor_of, is_ground, match, render_term, subst, variables
+from ailtl.terms import (
+    Binding,
+    Compound,
+    Const,
+    Term,
+    Var,
+    Wildcard,
+    functor_of,
+    is_ground,
+    match,
+    render_term,
+    subst,
+    variables,
+)
 
 
 # -- conjunctive queries by brute force ------------------------------------
@@ -161,6 +176,120 @@ def _ref_solutions(kb: FactBase, body, binding: Binding, history) -> Iterator[Bi
         extended = match(body, fact, binding)
         if extended is not None:
             yield extended
+
+
+# -- the reflective gate by enumeration ------------------------------------
+
+
+def _subterms(t: Term) -> Iterator[Term]:
+    yield t
+    if isinstance(t, Compound):
+        for a in t.args:
+            yield from _subterms(a)
+
+
+def _named_wildcards(t: Term, counter: List[int]) -> Term:
+    if isinstance(t, Wildcard):
+        counter[0] += 1
+        return Var(f" wildcard {counter[0]}")  # no program variable has a space
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_named_wildcards(a, counter) for a in t.args))
+    return t
+
+
+def head_binding(head: Term, goal: Term) -> Optional[Binding]:
+    """The binding under which ``head`` instantiates to the ground ``goal``.
+
+    Every variable (wildcards included, as fresh variables) is tried
+    against every subterm of the goal, and an assignment counts when the
+    instantiated head equals the goal.  Wildcards bind nothing.
+    """
+    head = _named_wildcards(head, [0])
+    names = list(dict.fromkeys(variables(head)))
+    for combo in itertools.product(dict.fromkeys(_subterms(goal)), repeat=len(names)):
+        binding = dict(zip(names, combo))
+        if subst(head, binding) == goal:
+            return {n: v for n, v in binding.items() if not n.startswith(" ")}
+    return None
+
+
+def _body_holds(kb: FactBase, rule: MetaRule, binding: Binding, history: Optional[History]) -> bool:
+    return next(reference_query(kb, rule.body, binding, history), None) is not None
+
+
+def reference_gate(
+    goal: Term, rules: Iterable[MetaRule], kb: FactBase, history: Optional[History] = None
+) -> GateDecision:
+    """The decision of ``metagate.gate``: heads matched by enumeration, bodies by ``reference_query``."""
+    if not is_ground(goal):
+        raise NonGroundReify(render_term(goal))
+    applicable = [(rule, b) for rule in rules if (b := head_binding(rule.head, goal)) is not None]
+    if not applicable:
+        return GateDecision.NO_RULES_APPLY
+    solve = [_body_holds(kb, r, b, history) for r, b in applicable if r.polarity is Polarity.SOLVE]
+    if solve and not any(solve):
+        return GateDecision.BLOCKED_BY_SOLVE_FAIL
+    if any(_body_holds(kb, r, b, history) for r, b in applicable if r.polarity is Polarity.SOLVE_NOT):
+        return GateDecision.BLOCKED_BY_SOLVE_NOT
+    return GateDecision.CONFIRMED
+
+
+# -- acceptable-set semantics ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class MetaAtom:
+    """``solve(name(A))`` or ``solve_not(name(A))``; a ground term is its own name."""
+
+    polarity: Polarity
+    name: Term
+
+
+AtomSet = Set[Union[Term, MetaAtom]]
+
+
+def acceptable(atoms: AtomSet) -> bool:
+    """Does the set satisfy  A <- solve(name(A))  and  not A <- solve_not(name(A))?"""
+    for a in atoms:
+        if not isinstance(a, MetaAtom):
+            continue
+        if a.polarity is Polarity.SOLVE and a.name not in atoms:
+            return False
+        if a.polarity is Polarity.SOLVE_NOT and a.name in atoms:
+            return False
+    return True
+
+
+def base_version(atoms: AtomSet) -> AtomSet:
+    """The set with every solve/solve_not atom filtered away."""
+    return {a for a in atoms if not isinstance(a, MetaAtom)}
+
+
+def operative_atom_set(
+    goals: Iterable[Term], rules: Iterable[MetaRule], kb: FactBase, history: Optional[History] = None
+) -> AtomSet:
+    """The atom set ``metagate.gate`` realizes over a goal universe.
+
+    Confirmed and ungated goals are included, together with the meta atoms
+    that actually decided them.  A solve atom overridden by a succeeding
+    solve_not is not operative (no consistent set could contain both).
+    """
+    rules = list(rules)
+    out: AtomSet = set()
+    for goal in goals:
+        decision = gate(goal, rules, kb, history)
+        if decision in (GateDecision.CONFIRMED, GateDecision.NO_RULES_APPLY):
+            out.add(goal)
+        succeeded = set()
+        for rule in rules:
+            binding = head_binding(rule.head, goal)
+            if binding is not None and _body_holds(kb, rule, binding, history):
+                succeeded.add(rule.polarity)
+        if Polarity.SOLVE_NOT in succeeded:
+            out.add(MetaAtom(Polarity.SOLVE_NOT, goal))
+        elif Polarity.SOLVE in succeeded and decision is GateDecision.CONFIRMED:
+            out.add(MetaAtom(Polarity.SOLVE, goal))
+    return out
 
 
 # -- interval operators by direct quantification ---------------------------

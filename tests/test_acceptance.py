@@ -19,7 +19,7 @@ from ailtl.dsl import ParseError, parse_program, parse_trace, render
 from ailtl.events import Event, EventKind, History
 from ailtl.evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
 from ailtl.kb import FactBase, Literal
-from ailtl.metagate import GateDecision, MetaRule, Polarity, acceptable, gate, operative_atom_set
+from ailtl.metagate import GateDecision, MetaRule, Polarity, gate
 from ailtl.patterns import PatternElem, PatternSeq, Quant
 from ailtl.runtime import EngineConfig, run, summarize_metrics
 from ailtl.scenarios import bench_scenario, gen_scenario
@@ -36,7 +36,15 @@ from ailtl.temporal import (
 from ailtl.terms import Compound, Const, Var, atom
 
 from genprog import random_program
-from oracles import battery_levels, quantifier_verdict, queue_trace_stats, supply_ledger
+from oracles import (
+    acceptable,
+    battery_levels,
+    operative_atom_set,
+    quantifier_verdict,
+    queue_trace_stats,
+    reference_gate,
+    supply_ledger,
+)
 
 
 def report_pass(n: int, text: str) -> None:
@@ -212,18 +220,30 @@ def test_criterion_5_gate_semantics():
     started = time.perf_counter()
     rng = random.Random(20250801)
     dominance_checked = 0
+    decisions = set()
+    negated = constant_heads = 0
     for i in range(1000):
         kb, rules, goals = _random_gate_program(rng)
+        negated += any(lit.negated for r in rules for lit in r.body)
+        constant_heads += any(isinstance(r.head.args[0], Const) for r in rules)
         realized = operative_atom_set(goals, rules, kb)
         assert acceptable(realized), f"program {i} realized a non-acceptable set"
         for goal in goals:
             decision = gate(goal, rules, kb)
+            assert decision is reference_gate(goal, rules, kb), (i, goal)
+            decisions.add(decision)
             if decision is GateDecision.BLOCKED_BY_SOLVE_NOT:
                 dominance_checked += 1
                 assert goal not in realized
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"gate sweep took {elapsed:.1f}s"
-    report_pass(5, f"1000 random programs realize acceptable sets ({dominance_checked} solve_not blocks) in {elapsed:.1f}s")
+    # the sweep reaches every decision, negated body literals and constant heads
+    assert decisions == set(GateDecision) and negated and constant_heads
+    report_pass(
+        5,
+        f"1000 random programs realize acceptable sets and agree with the reference gate"
+        f" ({dominance_checked} solve_not blocks) in {elapsed:.1f}s",
+    )
 
 
 # -- 6. per-cycle cost model -----------------------------------------------------

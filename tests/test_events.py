@@ -3,28 +3,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from ailtl.events import Event, EventKind, History, TimestampRegression
-from ailtl.terms import Compound, Const, atom
+from ailtl.events import PAST_LIKE, Event, EventKind, History, TimestampRegression
+from ailtl.terms import Compound, Const, atom, functor_of
 
 
 def ev(kind, functor, *args, t=0):
     return Event(kind, atom(functor, *(Const(a) for a in args)), t)
-
-
-def test_newer_version_supersedes_into_pnv():
-    h = History()
-    h.record(ev(EventKind.PAST, "push", 5, "q", t=1))
-    h.record(ev(EventKind.PAST, "push", 9, "q", t=2))
-    latest = h.latest(EventKind.PAST, "push", 2)
-    assert latest.timestamp == 2 and latest.payload.args[0] == Const(9)
-    archived = h.archived(EventKind.PAST, "push", 2)
-    assert [e.timestamp for e in archived] == [1]
-
-
-def test_first_event_leaves_archive_empty():
-    h = History()
-    h.record(ev(EventKind.EXTERNAL, "rain", t=3))
-    assert h.p_size == 1 and h.pnv_size == 0
 
 
 def test_timestamp_regression_rejected():
@@ -46,16 +30,6 @@ def test_latest_returns_newest_of_two():
     assert h.latest(EventKind.PAST, "recharge_battery", 0).timestamp == 9
 
 
-def test_superseded_version_only_in_archive():
-    h = History()
-    first = ev(EventKind.ACTION, "move", "north", t=1)
-    second = ev(EventKind.ACTION, "move", "south", t=4)
-    h.record(first)
-    h.record(second)
-    assert h.latest(EventKind.ACTION, "move", 1) == second
-    assert h.archived(EventKind.ACTION, "move", 1) == [first]
-
-
 def test_past_filter_covers_actions_and_externals():
     h = History()
     h.record(ev(EventKind.ACTION, "push", 1, "q", t=1))
@@ -71,15 +45,6 @@ def test_arrival_order_breaks_timestamp_ties():
     h.record(ev(EventKind.ACTION, "ping", "a", t=5))
     h.record(ev(EventKind.ACTION, "ping", "b", t=5))
     assert h.latest(EventKind.ACTION, "ping", 1).payload.args[0] == Const("b")
-
-
-def test_retention_limit_trims_archive():
-    h = History(default_limit=2)
-    for t in range(5):
-        h.record(ev(EventKind.PAST, "reading", t, t=t))
-    assert len(h.archived(EventKind.PAST, "reading", 1)) == 2
-    # conservation still accounts for dropped versions
-    assert h.p_size + h.pnv_size == len(h.log)
 
 
 _kinds = st.sampled_from(list(EventKind))
@@ -98,8 +63,31 @@ def test_replay_determinism_and_conservation(spec):
         runs.append(h)
     a, b = runs
     assert a.log == b.log
-    assert a.p_size == b.p_size and a.pnv_size == b.pnv_size
-    assert a.p_size + a.pnv_size == len(a.log)
+    for kind in EventKind:
+        for f in ("f", "g"):
+            assert a.latest_for_filter(kind, f, 1) == b.latest_for_filter(kind, f, 1)
+
+
+def _newest_by_scan(log, kinds, functor, arity):
+    # the newest logged entry of the key; arrival order breaks timestamp ties
+    hits = [
+        (e.timestamp, i, e)
+        for i, e in enumerate(log)
+        if e.kind in kinds and functor_of(e.payload) == (functor, arity)
+    ]
+    return max(hits, key=lambda h: h[:2])[2] if hits else None
+
+
+@given(_timelines)
+def test_latest_is_the_newest_entry_of_a_plain_log_scan(spec):
+    h = History()
+    for kind, (f, a), t in sorted(spec, key=lambda s: s[2]):
+        h.record(Event(kind, Compound(f, (Const(a),)), t))
+    for kind in EventKind:
+        for functor, arity in (("f", 1), ("g", 1), ("f", 2)):
+            assert h.latest(kind, functor, arity) == _newest_by_scan(h.log, (kind,), functor, arity)
+            kinds = PAST_LIKE if kind is EventKind.PAST else (kind,)
+            assert h.latest_for_filter(kind, functor, arity) == _newest_by_scan(h.log, kinds, functor, arity)
 
 
 @given(_timelines, st.integers(-1, 6), st.integers(0, 22))

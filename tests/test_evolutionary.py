@@ -264,35 +264,6 @@ def test_preventive_hit_fires_once_across_rebindings():
     assert [(t, e.payload) for t, e in effects] == [(1, Compound("hold", (Const(3),)))]
 
 
-def test_step_preventive_resolves_the_preference_directly():
-    expr = battery_expr(with_eta3=True)
-    kb = battery_kb()
-    h = History()
-    rt = ExprRuntime(expr)
-    h.record(P(Const("recharge_battery"), 0))
-    rt.step(h, kb, 0)
-    assert rt.status in (ExprStatus.ARMED, ExprStatus.HOLDING)
-    imminent = A(Const("dry_water"), 5)
-    effects = rt.step_preventive(imminent, kb, h)
-    assert effects is not None
-    assert [(e.channel, e.payload) for e in effects] == [
-        ("eta3", Compound("alternative_plan", (Const("swap"),)))
-    ]
-    assert rt.status in (ExprStatus.ARMED, ExprStatus.HOLDING)  # prevention, not breakage
-    # a non-breaking event resolves nothing
-    assert rt.step_preventive(A(Const("move"), 6), kb, h) is None
-
-
-def test_step_preventive_is_none_without_eta3():
-    expr = battery_expr(with_eta3=False)
-    kb = battery_kb()
-    h = History()
-    rt = ExprRuntime(expr)
-    h.record(P(Const("recharge_battery"), 0))
-    rt.step(h, kb, 0)
-    assert rt.step_preventive(A(Const("dry_water"), 5), kb, h) is None
-
-
 def test_eta3_without_breaking_hit_never_fires():
     expr = battery_expr(with_eta3=True)
     timeline = [

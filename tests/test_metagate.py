@@ -4,51 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ailtl.kb import FactBase, Literal
-from ailtl.metagate import (
-    GateDecision,
-    MetaAtom,
-    MetaRule,
-    NameCompound,
-    NameConst,
-    NonGroundReify,
-    Polarity,
-    acceptable,
-    base_version,
-    gate,
-    operative_atom_set,
-    reify,
-    unreify,
-)
-from ailtl.terms import Compound, Const, Var, atom
+from ailtl.metagate import GateDecision, MetaRule, NonGroundReify, Polarity, gate
+from ailtl.terms import Compound, Const, Var, Wildcard, atom, variables
 
-
-def test_reify_mirrors_structure():
-    name = reify(Compound("execute_action", (Const("shoot"),)))
-    assert name == NameCompound("execute_action", (NameConst("shoot"),))
-
-
-def test_reify_round_trip():
-    t = Compound("p", (Const("a"), Const("b"), Const("c")))
-    assert unreify(reify(t)) == t
-
-
-def test_reify_rejects_non_ground():
-    with pytest.raises(NonGroundReify):
-        reify(Compound("p", (Var("X"),)))
-
-
-terms = st.deferred(
-    lambda: st.one_of(
-        st.integers(0, 9).map(Const),
-        st.sampled_from("abc").map(Const),
-        st.builds(Compound, st.sampled_from(["f", "g"]), st.lists(terms, min_size=1, max_size=3).map(tuple)),
-    )
-)
-
-
-@given(terms)
-def test_reification_is_bijective(t):
-    assert unreify(reify(t)) == t
+from oracles import MetaAtom, acceptable, base_version, head_binding, operative_atom_set, reference_gate
 
 
 # the context/role vignette: what a solve gate looks like in practice
@@ -152,18 +111,18 @@ def test_meta_constant_head_must_match_exactly():
 
 def test_acceptable_schemata():
     p = Const("p")
-    assert acceptable({MetaAtom(Polarity.SOLVE, reify(p)), p})
-    assert not acceptable({MetaAtom(Polarity.SOLVE_NOT, reify(p)), p})
+    assert acceptable({MetaAtom(Polarity.SOLVE, p), p})
+    assert not acceptable({MetaAtom(Polarity.SOLVE_NOT, p), p})
     assert acceptable(set())
-    assert not acceptable({MetaAtom(Polarity.SOLVE, reify(p))})
+    assert not acceptable({MetaAtom(Polarity.SOLVE, p)})
 
 
 def test_base_version_strips_meta_atoms():
     p, q = Const("p"), Const("q")
-    full = {MetaAtom(Polarity.SOLVE, reify(p)), p, q}
+    full = {MetaAtom(Polarity.SOLVE, p), p, q}
     assert base_version(full) == {p, q}
     assert base_version({p, q}) == {p, q}
-    assert base_version({MetaAtom(Polarity.SOLVE_NOT, reify(p))}) == set()
+    assert base_version({MetaAtom(Polarity.SOLVE_NOT, p)}) == set()
 
 
 def test_operative_atom_set_is_acceptable_for_the_vignette():
@@ -173,3 +132,47 @@ def test_operative_atom_set_is_acceptable_for_the_vignette():
             goals = [Compound("execute_action", (Const(a),)) for a in ("shoot", "shout", "arrest", "wave")]
             realized = operative_atom_set(goals, ethics_rules(), kb)
             assert acceptable(realized), (context, role, exception)
+
+
+_consts = st.sampled_from([Const("a"), Const("b"), Const(1)])
+
+
+def _compounds(children):
+    return st.builds(Compound, st.sampled_from(["f", "g"]), st.lists(children, min_size=1, max_size=3).map(tuple))
+
+
+# few leaves keep the oracle's enumeration (subterms ** head variables) small
+_goals = st.recursive(_consts, _compounds, max_leaves=6)
+_heads = st.recursive(
+    st.one_of(_consts, st.sampled_from([Var("X"), Var("Y"), Wildcard("_"), Wildcard("_w")])), _compounds, max_leaves=4
+)
+
+
+def _fill(head, values):
+    # an instance of the head: each variable occurrence and wildcard takes the next value
+    if isinstance(head, (Var, Wildcard)):
+        return values.pop() if values else Const("a")
+    if isinstance(head, Compound):
+        return Compound(head.functor, tuple(_fill(a, values) for a in head.args))
+    return head
+
+
+@given(_heads, _goals, st.lists(_goals, max_size=4), st.booleans(), st.sets(_consts), st.booleans())
+def test_gate_matches_heads_like_the_enumerating_oracle(head, other, values, instance, marked, negated):
+    # wildcards, repeated variables and nested heads, against an instance of
+    # the head (repeated variables then agree only by chance) or any goal
+    goal = _fill(head, list(values)) if instance else other
+    kb = FactBase()
+    for c in marked:
+        kb.assert_fact(Compound("marked", (c,)))
+    body = (Literal(Compound("marked", (Var("X"),)), negated=negated),) if "X" in variables(head) else ()
+    for polarity in Polarity:
+        rules = [MetaRule(polarity, head, body)]
+        assert gate(goal, rules, kb) is reference_gate(goal, rules, kb)
+
+
+def test_head_binding_oracle_binds_variables_and_skips_wildcards():
+    goal = Compound("f", (Const("a"), Compound("g", (Const("a"),)), Const("b")))
+    head = Compound("f", (Var("X"), Compound("g", (Var("X"),)), Wildcard("_")))
+    assert head_binding(head, goal) == {"X": Const("a")}
+    assert head_binding(Compound("f", (Var("X"), Wildcard("_"), Var("X"))), goal) is None
