@@ -29,10 +29,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .events import EventKind, History
-from .kb import Comparison, EventRef, FactBase
+from .kb import Comparison, Delta, EventRef, FactBase, UnboundBuiltinArg
 from .patterns import (
     EMPTY_SEQ,
     Mismatch,
@@ -119,8 +119,9 @@ class StepOutcome:
     if_viol_ns: int = 0
 
 
-class _Check(NamedTuple):
-    """The inputs and the result of an evaluated check."""
+@dataclass(slots=True)
+class _Check:
+    """The inputs and the result of an evaluated check; a delta test moves ``log_length``."""
 
     kb: FactBase
     version: int
@@ -128,6 +129,7 @@ class _Check(NamedTuple):
     history: Optional[History]  # None when the check does not read the log
     log_length: int
     result: Tuple[Optional[bool], Binding]
+    delta: Optional[Delta]  # the formula's delta test, when its context reads no history
 
 
 class ExprRuntime:
@@ -315,28 +317,41 @@ class ExprRuntime:
         self._settle(out, history, kb, verdict, binding, holds)
 
     def _evaluate(self, history: History, kb: FactBase) -> Tuple[Optional[bool], Binding]:
-        """``eval_once``, or the previous check's result when none of its inputs moved.
+        """``eval_once``, or the previous check's result when it still stands.
 
         A check reads the fact base at its version, the instance's binding
         (compared by value: the precondition hands over a fresh but equal
         one on every read) and, when the plan of the formula or its
         context reads the history, the log up to its length.  A
         registration moves the version too, so the plans stay the same
-        while it stands.
+        while it stands.  When all of these stand, the result is reused.
+
+        When only the log grew and the previous check found no solution,
+        the formula's delta test (``Plan.delta``) looks only at the rows
+        that entered since that check's log length; the context reads no
+        history then, so it committed to the same binding.  If the test
+        finds nothing the result stands for the longer log too.  If it
+        finds a solution, or raises, ``eval_once`` runs in full, so the
+        witness and everything reported from it are those of a full check.
         """
         last = self._last
-        if (
-            last is not None
-            and last.kb is kb
-            and last.version == kb.version
-            and last.binding == self.binding
-            and (last.history is None or (last.history is history and last.log_length == len(history.log)))
-        ):
-            return last.result
+        if last is not None and last.kb is kb and last.version == kb.version and last.binding == self.binding:
+            if last.history is None or (last.history is history and last.log_length == len(history.log)):
+                return last.result
+            if last.delta is not None and last.result[0] is False and last.history is history:
+                try:
+                    hit = last.delta(last.result[1], history, last.log_length)
+                except UnboundBuiltinArg:
+                    hit = True  # the full check raises it, as NonGroundAfterContext
+                if not hit:
+                    last.log_length = len(history.log)
+                    return last.result
         f = self.expr.core
         result = eval_once(f, kb, history, self.binding)
-        reads = kb.plan(f.phi).reads_history or kb.plan(f.chi).reads_history
-        self._last = _Check(kb, kb.version, self.binding, history if reads else None, len(history.log), result)
+        phi, chi = kb.plan(f.phi), kb.plan(f.chi)
+        reads = phi.reads_history or chi.reads_history
+        delta = None if chi.reads_history else phi.delta
+        self._last = _Check(kb, kb.version, self.binding, history if reads else None, len(history.log), result, delta)
         return result
 
     def _settle(

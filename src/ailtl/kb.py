@@ -28,6 +28,15 @@ base and the history's log: given the same four it yields the same
 bindings.  The log only grows, so its length stands for it; with the
 fact-base ``version`` it identifies everything a plan reads.  Monitors
 rely on this to reuse a check's result while none of these has moved.
+
+An evaluator marked with :func:`since_capable` also takes a keyword
+``since``, a log index.  With ``since=L`` it yields only the solutions
+that use a row which entered at index ``L`` or later: a row that is
+there now but was missing at some log length of ``L`` or more.  It may
+yield more rows than that, never fewer; ``since=0``, the default, yields
+them all.  A plan over such evaluators can then tell whether a
+conjunction that had no solution at one log length has one now from the
+new rows alone (``Plan.delta``).
 """
 
 from __future__ import annotations
@@ -95,6 +104,17 @@ Conj = Tuple[Literal, ...]
 # yields extended bindings.  History access is what lets profiles derive
 # state predicates (queue contents, stock level, charge) from the event log.
 Evaluator = Callable[["FactBase", Optional[History], Tuple[Term, ...], Binding], Iterator[Binding]]
+
+
+def since_capable(fn: Evaluator) -> Evaluator:
+    """Mark an evaluator as taking ``since=`` (see the module docstring).
+
+    The mark is a function attribute, read with ``getattr``: it is also
+    read through a bound method and through ``functools.wraps``.
+    """
+    fn.since_capable = True  # type: ignore[attr-defined]
+    return fn
+
 
 CostFn = Callable[[Term], Optional[int]]
 
@@ -229,7 +249,7 @@ class FactBase:
             if key is None:
                 step = Step(_nothing, False)  # an integer or a wildcard is never a fact
             elif key in self._evaluators:
-                step = Step(self._evaluated(self._evaluators[key], body), True)
+                step = self._evaluated(self._evaluators[key], body)
             elif is_ground(body):
                 step = Step(self._member(body), False)
             else:
@@ -265,13 +285,19 @@ class FactBase:
 
         return solve
 
-    def _evaluated(self, evaluator: Evaluator, template: Term) -> Solve:
+    def _evaluated(self, evaluator: Evaluator, template: Term) -> Step:
         args = template.args if isinstance(template, Compound) else ()
 
         def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
             yield from evaluator(self, history, tuple(subst(a, binding) for a in args), binding)
 
-        return solve
+        if not getattr(evaluator, "since_capable", False):
+            return Step(solve, True)
+
+        def solve_since(binding: Binding, history: Optional[History], since: int) -> Iterator[Binding]:
+            yield from evaluator(self, history, tuple(subst(a, binding) for a in args), binding, since=since)
+
+        return Step(solve, True, solve_since)
 
     def _bound_atom(self, name: str) -> Solve:
         """A variable used as a literal: the atom it is bound to, looked up when reached."""
@@ -292,13 +318,21 @@ class FactBase:
 
 
 Solve = Callable[[Binding, Optional[History]], Iterator[Binding]]
+SolveSince = Callable[[Binding, Optional[History], int], Iterator[Binding]]
+Delta = Callable[[Binding, History, int], bool]
 
 
 class Step(NamedTuple):
-    """One literal of a plan: its solver, and whether it reads the history."""
+    """One literal of a plan: its solver and whether it reads the history.
+
+    ``since`` is set for a positive call of a :func:`since_capable`
+    evaluator: the solver restricted to the rows that entered at or after
+    a log index.
+    """
 
     solve: Solve
     reads_history: bool
+    since: Optional[SolveSince] = None
 
 
 class Plan:
@@ -314,16 +348,53 @@ class Plan:
     store-insertion order.  ``reads_history`` is true when any step is an
     event reference or may call an evaluator: only then can the answer
     change while the fact base stays at one version.
+
+    ``delta(binding, history, since)`` tells whether the conjunction has
+    a solution that uses a row which entered at or after log index
+    ``since``.  It exists only when every step that reads the history is
+    a positive call of a :func:`since_capable` evaluator; a negation, an
+    event reference, a variable literal or any other evaluator leaves it
+    ``None``.  Every literal that can change is then positive, so a
+    deletion cannot make a solution: with the fact base at one version, a
+    conjunction that had none at log length ``since`` has one now exactly
+    when ``delta`` finds one.  It runs one existence search per
+    history-reading step, that step in ``since`` mode first and the
+    others in their order.  Moving a positive literal to the front only
+    binds variables earlier, so comparisons and negations still see
+    ground arguments; where they do not, it raises ``UnboundBuiltinArg``
+    as the full search may too.
     """
 
-    __slots__ = ("reads_history", "solutions")
+    __slots__ = ("reads_history", "solutions", "delta")
 
     def __init__(self, steps: Tuple[Step, ...]) -> None:
         self.reads_history = any(step.reads_history for step in steps)
-        solve: Solve = steps[-1].solve if steps else _unit
-        for step in reversed(steps[:-1]):
-            solve = _then(step.solve, solve)
-        self.solutions = solve
+        self.solutions = _chain([step.solve for step in steps])
+        reading = [i for i, step in enumerate(steps) if step.reads_history]
+        self.delta: Optional[Delta] = None
+        if reading and all(steps[i].since is not None for i in reading):
+            self.delta = _delta(
+                [(steps[i].since, _chain([s.solve for j, s in enumerate(steps) if j != i])) for i in reading]
+            )
+
+
+def _chain(solvers: List[Solve]) -> Solve:
+    """The solvers nested left to right: each extends the solutions of the one before."""
+    solve: Solve = solvers[-1] if solvers else _unit
+    for first in reversed(solvers[:-1]):
+        solve = _then(first, solve)
+    return solve
+
+
+def _delta(solvers: List[Tuple[SolveSince, Solve]]) -> Delta:
+    def found(binding: Binding, history: History, since: int) -> bool:
+        for first, rest in solvers:
+            for extended in first(binding, history, since):
+                if next(rest(extended, history), None) is not None:
+                    return True
+        return False
+
+    return found
 
 
 def _unit(binding: Binding, history: Optional[History]) -> Iterator[Binding]:

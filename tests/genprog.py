@@ -7,6 +7,13 @@ postfixes, preconditions only close a reaction, intervals are ordered).
 ``random_trace`` draws events for a program, mostly ground instances of
 the program's own atoms, so that its patterns, event references and
 gate heads get to match.
+
+``random_profile_program`` and ``random_profile_trace`` draw programs over
+a derived-state profile (``queue``, ``stock`` or ``battery``) whose
+formulas self-join the profile predicate or compare its values, and
+traces of the events that profile folds, with enough repeated values
+that a ``NEVER`` over duplicates fires.  They draw from their own
+sequence, so the programs of ``random_program`` stay as they were.
 """
 
 from __future__ import annotations
@@ -223,4 +230,202 @@ def random_trace(rng: random.Random, program: Program, events: int = 30) -> List
         else:
             payload = _atom(rng, ground=True)
         out.append(Event(rng.choice(KINDS), payload, tick))
+    return out
+
+
+# -- programs over a derived-state profile ------------------------------------------
+
+
+def _lit(body, negated: bool = False) -> Literal:
+    return Literal(body, negated)
+
+
+def _cmp(op: str, lhs: Term, rhs: Term) -> Literal:
+    return Literal(Comparison(op, lhs, rhs))
+
+
+def _a(functor: str, *args: Term) -> Compound:
+    return Compound(functor, tuple(args))
+
+
+_E1, _E2, _V, _W, _C = Var("E1"), Var("E2"), Var("V"), Var("W"), Var("C")
+
+
+def _queue_formula(rng: random.Random, bound: Term) -> Tuple[Literal, ...]:
+    """A conjunction over ``in_queue``; ``bound`` is a value the precondition may bind."""
+    c = Const(rng.randint(1, 6))
+    if rng.random() < 0.03:
+        # the comparison is unbound once the queue has an entry: the run errs then
+        return (_lit(_a("in_queue", _E1, _V)), _cmp(">", Var("Unbound"), c))
+    return rng.choice(
+        [
+            (_lit(_a("in_queue", _E1, _V)), _lit(_a("in_queue", _E2, _V)), _cmp("\\=", _E1, _E2)),
+            (_lit(_a("in_queue", _E1, bound)), _lit(_a("in_queue", _E2, bound)), _cmp("\\=", _E1, _E2)),
+            (_lit(_a("in_queue", _E1, _V)), _lit(_a("in_queue", _E2, _W)), _cmp("\\=", _E1, _E2), _cmp("<", _V, _W)),
+            (_lit(_a("in_queue", _E1, _V)), _cmp(rng.choice(CMPS), _V, c)),
+            (_lit(_a("in_queue", _E1, _V)), _lit(_a("bad", _V))),
+            (_lit(_a("in_queue", _E1, _V)), _lit(_a("ok", _V), negated=True)),
+            (_lit(_a("limit", _C)), _lit(_a("in_queue", _E1, _V)), _cmp(">", _V, _C)),
+            (_lit(_a("in_queue", _E1, bound)),),
+            # not answered by the delta test: a negated profile literal, an event reference
+            (_lit(_a("bad", _V)), _lit(_a("in_queue", Wildcard("_e"), _V), negated=True)),
+            (_lit(EventRef(EventKind.PAST, _a("push", _V, Wildcard("_q")))), _lit(_a("in_queue", _E1, _V)),
+             _lit(_a("in_queue", _E2, _V)), _cmp("\\=", _E1, _E2)),
+        ]
+    )
+
+
+def _stock_formula(rng: random.Random, bound: Term) -> Tuple[Literal, ...]:
+    c = Const(rng.randint(0, 12))
+    return rng.choice(
+        [
+            (_lit(_a("quantity", _E1, _V)), _cmp(rng.choice(CMPS), _V, c)),
+            (_lit(_a("quantity", _E1, _V)), _lit(_a("quantity", _E2, _W)), _cmp("\\=", _E1, _E2), _cmp(">", _V, _W)),
+            (_lit(_a("quantity", _E1, _V)), _lit(_a("quantity", _E2, _V)), _cmp("\\=", _E1, _E2)),
+            (_lit(_a("quantity", _E1, _V)), _lit(_a("low", _E1, _C)), _cmp("<", _V, _C)),
+            (_lit(_a("limit", _C)), _lit(_a("quantity", _E1, _V)), _cmp(">", _V, _C)),
+            (_lit(_a("quantity", bound, _V)), _cmp("<", _V, c)),
+            (_lit(_a("quantity", _E1, _V)), _lit(_a("quantity", _E1, Const(0)), negated=True), _cmp(">", _V, c)),
+        ]
+    )
+
+
+def _battery_formula(rng: random.Random, bound: Term) -> Tuple[Literal, ...]:
+    c = Const(rng.randint(60, 100))
+    return rng.choice(
+        [
+            (_lit(_a("charge_level", _V)), _cmp(rng.choice(CMPS), _V, c)),
+            (_lit(_a("charge_level", _V)), _lit(_a("charge_level", _W)), _cmp("\\=", _V, _W)),
+            (_lit(_a("limit", _C)), _lit(_a("charge_level", _V)), _cmp("<", _V, _C)),
+            (_lit(_a("charge_level", _V)), _lit(_a("ok", _V), negated=True), _cmp("<", _V, c)),
+            (_lit(_a("charge_level", _V)), _lit(EventRef(EventKind.ACTION, Const("move"))), _cmp("<", _V, c)),
+        ]
+    )
+
+
+_PROFILE_FORMULAS = {"queue": _queue_formula, "stock": _stock_formula, "battery": _battery_formula}
+
+# the precondition that arms an instance, and the variable it binds
+_PROFILE_PRE = {
+    "queue": (_a("push", Var("Req"), Wildcard("_q")), Var("Req")),
+    "stock": (_a("supply", Var("Res"), Wildcard("_n")), Var("Res")),
+    "battery": (Const("move"), Var("Unused")),
+}
+
+# reactions that feed events the profile folds back into the run
+_PROFILE_REPAIRS = {
+    "queue": (_a("pop", _E1, Const("q1")), _a("alarm", _V)),
+    "stock": (_a("supply", _E1, Const(3)), _a("alarm", _V)),
+    "battery": (Const("recharge_battery"), _a("alarm", _V)),
+}
+
+
+_K, _KV = Var("K"), Var("KV")
+
+# a context that reads the history, and literals that tie the formula to
+# what it bound: the oldest queue entry, the first resource above 2, the charge
+_PROFILE_CONTEXTS = {
+    "queue": ((_lit(_a("in_queue", _K, Wildcard("_v"))),), (_lit(_a("in_queue", _K, _KV)), _lit(_a("bad", _KV)))),
+    "stock": ((_lit(_a("quantity", _K, _KV)), _cmp(">", _KV, Const(2))), (_lit(_a("quantity", _E2, _W)), _cmp("<", _W, _KV))),
+    "battery": ((_lit(_a("charge_level", _KV)),), (_lit(_a("charge_level", _W)), _cmp("<", _KV, Const(80)))),
+}
+
+
+def _profile_formula(rng: random.Random, profile: str, bound: Term) -> ContextualFormula:
+    """A formula over the profile, without a context, with a stored one, or with one over the log."""
+    phi = _PROFILE_FORMULAS[profile](rng, bound)
+    roll = rng.random()
+    if roll < 0.6:
+        chi: Tuple[Literal, ...] = ()
+    elif roll < 0.75:
+        chi = (_lit(_a("cap", _K)),)  # stored: the delta test still applies
+    else:
+        # the context reads the history, so every check runs in full
+        chi, tie = _PROFILE_CONTEXTS[profile]
+        phi = tie if rng.random() < 0.5 else phi + tie
+    return ContextualFormula(_profile_op(rng), phi, chi)
+
+
+def _profile_op(rng: random.Random) -> IntervalOp:
+    kind = rng.choice([TemporalOp.NEVER] * 3 + [TemporalOp.ALWAYS, TemporalOp.EVENTUALLY])
+    shape = rng.randrange(4)
+    if shape == 0:
+        return IntervalOp(kind)
+    m = rng.randrange(0, 10)
+    if shape == 1:
+        return IntervalOp(kind, m, None, rng.randrange(1, 4))
+    return IntervalOp(kind, m, m + rng.randrange(5, 60), rng.randrange(1, 3) if shape == 3 else None)
+
+
+def random_profile_program(rng: random.Random) -> Program:
+    """A program with ``derived = queue|stock|battery`` and formulas over its predicate."""
+    profile = rng.choice(["queue", "stock", "battery"])
+    program = Program()
+    program.config["derived"] = profile
+    if rng.random() < 0.3:
+        program.config["frequency"] = rng.randrange(1, 4)
+    if profile == "stock":
+        for resource in ("r", "s"):
+            if rng.random() < 0.7:
+                program.facts.append(_a("initial_quantity", Const(resource), Const(rng.randint(0, 8))))
+        program.facts.append(_a("low", Const("r"), Const(rng.randint(1, 6))))
+    if profile == "battery":
+        program.facts.append(_a("battery_full", Const(rng.choice([90, 100]))))
+        program.facts.append(_a("drain", Const("move"), Const(rng.randint(0, 9))))
+        program.facts.append(_a("drain", Const("clean"), Const(rng.randint(0, 9))))
+    program.facts.append(_a("limit", Const(rng.randint(1, 95))))
+    program.facts.append(_a("cap", Const(rng.randint(1, 9))))
+    for value in range(1, 7):
+        if rng.random() < 0.3:
+            program.facts.append(_a("bad", Const(value)))
+        if rng.random() < 0.6:
+            program.facts.append(_a("ok", Const(value)))
+    if profile == "queue" and rng.random() < 0.3:
+        program.metarules.append(
+            MetaRule(Polarity.SOLVE_NOT, _a("push", _V, Var("Q")), (_lit(_a("in_queue", Wildcard("_e"), _V)),))
+        )
+    for _ in range(rng.randint(1, 3)):
+        pre_atom, bound = _PROFILE_PRE[profile]
+        pre = rng.random() < 0.5
+        core = _profile_formula(rng, profile, bound if pre else _V)
+        # a standing violation re-arms and fires every due tick, so only a
+        # bounded interval may emit: its cascade ends with the interval
+        emits = core.op.n is not None
+        expr = EvolutionaryExpr(
+            core=core,
+            pre=PatternSeq((PatternElem(pre_atom, EventKind.PAST, rng.choice([Quant.ONE, Quant.PLUS])),))
+            if pre else PatternSeq(()),
+            repair=(ReactionAtom(rng.choice(_PROFILE_REPAIRS[profile])),) if emits and rng.random() < 0.5 else (),
+            eta1=ReactionAtom(_a("violated", _V)) if emits and rng.random() < 0.5 else None,
+        )
+        program.evolutionary.append((f"e{len(program.evolutionary) + 1}", expr))
+    monitor = _profile_formula(rng, profile, _V)
+    if monitor.op.n is not None and rng.random() < 0.5:
+        program.reactive.append(("r1", ReactiveRule(monitor, (ReactionAtom(_a("alarm", _V)),))))
+    return program
+
+
+def random_profile_trace(rng: random.Random, program: Program, events: int = 40) -> List[Event]:
+    """``events`` events in timestamp order, mostly ones the program's profile folds."""
+    profile = program.config["derived"]
+    out: List[Event] = []
+    tick = pushes = 0
+    for _ in range(events):
+        tick += rng.choice((0, 1, 1, 2, 5))
+        roll = rng.random()
+        if roll < 0.1:
+            payload: Term = Const("idle")
+        elif profile == "queue":
+            if roll < 0.65 or not pushes:
+                pushes += 1
+                payload = _a("push", Const(rng.randint(1, 6)), Const("q1"))
+            else:
+                payload = _a("pop", Const(f"e{rng.randint(1, pushes)}"), Const("q1"))
+        elif profile == "stock":
+            name = "supply" if roll < 0.55 else "consume"
+            payload = _a(name, Const(rng.choice("rst")), Const(rng.randint(0, 6)))
+        else:
+            payload = rng.choice([Const("move"), Const("clean"), Const("move"), Const("recharge_battery")])
+        kind = EventKind.ACTION if rng.random() < 0.8 else rng.choice([EventKind.PAST, EventKind.EXTERNAL, EventKind.PRESENT])
+        out.append(Event(kind, payload, tick))
     return out

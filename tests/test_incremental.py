@@ -4,18 +4,20 @@ Breaking scans and derived-state profiles keep a cursor into the log and
 fold in just the events logged since their last read.  These properties
 feed the log in random chunks and check, after every chunk, that the
 incremental answer equals the one computed from the whole log at once by
-the straight-line ledgers in ``oracles``; a work-count guard keeps the
-per-event matching work of a whole run flat as the trace grows.
+the straight-line ledgers in ``oracles``, and that a query ``since`` a
+log index sees exactly the ledger rows that entered at or after it.
+Work-count guards keep the per-event matching work and the profile rows
+read per event flat as the trace grows.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from ailtl import patterns, profiles
+from ailtl import evolutionary, patterns, profiles
 from ailtl.dsl import parse_program, parse_trace
 from ailtl.events import Event, EventKind, History
-from ailtl.evolutionary import EvolutionaryExpr, ExprRuntime
+from ailtl.evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
 from ailtl.kb import FactBase, Literal
 from ailtl.patterns import PatternElem, PatternSeq, Quant
 from ailtl.runtime import run
@@ -23,7 +25,7 @@ from ailtl.scenarios import queue_scenario
 from ailtl.temporal import ContextualFormula, IntervalOp, ReactionAtom, TemporalOp
 from ailtl.terms import Const, Var, atom
 
-from oracles import battery_charge, queue_contents, stock_totals
+from oracles import battery_charge, queue_contents, queue_trace_stats, stock_totals
 
 KINDS = (EventKind.ACTION, EventKind.PAST, EventKind.EXTERNAL, EventKind.PRESENT)
 
@@ -101,6 +103,30 @@ def _query(kb, h, functor, *args):
     return list(kb.query((Literal(atom(functor, *args)),), history=h))
 
 
+def _since(kb, h, functor, since, *args):
+    """The rows the profile's evaluator yields with ``since``, as binding tuples."""
+    evaluate = kb._evaluators[(functor, len(args))]
+    return [tuple(b[a.name] for a in args if isinstance(a, Var)) for b in evaluate(kb, h, args, {}, since=since)]
+
+
+def _entered_since(ledger, log, since):
+    """Rows of ``ledger(log)`` missing from the ledger of some prefix ``log[:j]``, ``j >= since``.
+
+    That is: the rows that entered at log index ``since`` or later.  With
+    ``since`` 0 every row counts, as a query with ``since=0`` sees them all.
+    """
+    rows = ledger(log)
+    if since == 0:
+        return rows
+    earlier = [ledger(log[:j]) for j in range(since, len(log))]
+    return [row for row in rows if any(row not in prefix for prefix in earlier)]
+
+
+def _check_since(kb, h, functor, ledger, *args):
+    for since in range(len(h.log) + 1):
+        assert _since(kb, h, functor, since, *args) == _entered_since(ledger, h.log, since), since
+
+
 @settings(max_examples=150, deadline=None)
 @given(_chunked(_QUEUE_EVENTS))
 def test_queue_fold_matches_the_ledger_after_every_chunk(chunks):
@@ -114,6 +140,12 @@ def test_queue_fold_matches_the_ledger_after_every_chunk(chunks):
         for value in (Const(1), Const(2)):
             rows = _query(kb, h, "in_queue", Var("E"), value)
             assert [r["E"] for r in rows] == [e for e, v in expected if v == value]
+        _check_since(kb, h, "in_queue", queue_contents, Var("E"), Var("V"))
+        for value in (Const(1), Const(2)):
+            for since in range(len(h.log) + 1):
+                rows = _since(kb, h, "in_queue", since, Var("E"), value)
+                entered = _entered_since(queue_contents, h.log, since)
+                assert rows == [(e,) for e, v in entered if v == value]
 
 
 _STOCK_EVENTS = st.tuples(
@@ -142,6 +174,8 @@ def test_stock_fold_matches_the_ledger_after_every_chunk(chunks, add_fact_midway
             initial.append((Const("t"), 3))
         rows = _query(kb, h, "quantity", Var("R"), Var("V"))
         assert [(r["R"], r["V"].value) for r in rows] == stock_totals(h.log, initial)
+        ledger = lambda log: [(r, Const(v)) for r, v in stock_totals(log, initial)]  # noqa: E731
+        _check_since(kb, h, "quantity", ledger, Var("R"), Var("V"))
 
 
 _BATTERY_EVENTS = st.tuples(
@@ -162,6 +196,8 @@ def test_battery_fold_matches_the_ledger_after_every_chunk(chunks):
         _record_chunk(h, tick, chunk)
         [row] = _query(kb, h, "charge_level", Var("L"))
         assert row["L"].value == battery_charge(h.log, {"move": 6, "clean": 8}, full=90)
+        ledger = lambda log: [(Const(battery_charge(log, {"move": 6, "clean": 8}, full=90)),)]  # noqa: E731
+        _check_since(kb, h, "charge_level", ledger, Var("L"))
 
 
 # -- work-count guard ---------------------------------------------------------------
@@ -187,3 +223,54 @@ def test_pattern_work_per_event_stays_flat_as_the_trace_grows(monkeypatch):
     short = _template_matches_per_event(monkeypatch, 100)
     long = _template_matches_per_event(monkeypatch, 400)
     assert long <= 1.2 * short, f"template matches per event: {short:.2f} at size 100, {long:.2f} at 400"
+
+
+def _profile_rows_per_event(monkeypatch, size):
+    rows = 0
+    original = profiles.yield_matches
+
+    def counted(templates, binding, candidates):
+        nonlocal rows
+        rows += len(candidates)
+        return original(templates, binding, candidates)
+
+    monkeypatch.setattr(profiles, "yield_matches", counted)
+    program_text, trace_text = queue_scenario(size, 7)
+    report = run(parse_program(program_text), parse_trace(trace_text))
+    monkeypatch.setattr(profiles, "yield_matches", original)
+    return rows / report.events_seen
+
+
+def test_profile_rows_read_per_event_stay_flat_as_the_trace_grows(monkeypatch):
+    # the NEVER self-join over in_queue had no solution at its last check,
+    # so each new check reads only the entries pushed since
+    short = _profile_rows_per_event(monkeypatch, 100)
+    for size in (400, 1600):
+        long = _profile_rows_per_event(monkeypatch, size)
+        assert long <= 1.2 * short, f"profile rows per event: {short:.2f} at size 100, {long:.2f} at {size}"
+
+
+def test_the_gated_queue_evaluates_its_formula_in_full_once(monkeypatch):
+    calls = 0
+    original = evolutionary.eval_once
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(evolutionary, "eval_once", counted)
+    program_text, trace_text = queue_scenario(400, 7)
+    report = run(parse_program(program_text), parse_trace(trace_text))
+    assert calls == 1
+    assert report.violations == 0 and len(report.eval_ticks["e1"]) > 400
+
+
+def test_the_injected_queue_violates_at_each_duplicate_push():
+    program_text, trace_text = queue_scenario(250, 7, inject_duplicates=6)
+    events = parse_trace(trace_text)
+    report = run(parse_program(program_text), events)
+    counts = [queue_trace_stats(events[:i])["duplicates"] for i in range(len(events) + 1)]
+    expected = [e.timestamp for i, e in enumerate(events) if counts[i + 1] > counts[i]]
+    violated = [t.tick for t in report.transitions if t.new is ExprStatus.VIOLATED]
+    assert len(expected) == 6 and violated == expected

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from ailtl.events import Event, EventKind, History
 from ailtl.kb import (
@@ -12,6 +12,7 @@ from ailtl.kb import (
     NonGroundFact,
     ReservedFunctor,
     UnboundBuiltinArg,
+    since_capable,
     yield_matches,
 )
 from ailtl.terms import Compound, Const, Var, Wildcard, atom
@@ -304,3 +305,106 @@ def test_plans_give_the_reference_solution_sequence(conj, stored, logged, seed, 
     expected = _sequence(reference_query(kb, conj, seed, history))
     assert _sequence(kb.query(conj, seed, history)) == expected
     assert _sequence(kb.query(conj, seed, history)) == expected  # and again from the memo
+
+
+# the delta test of a plan against the recursive interpreter: when a
+# conjunction had no solution at log length L0, the rows that entered since
+# tell whether it has one at L1
+
+
+@since_capable
+def _row(kb_, history, args, binding, since=0):
+    """row(K, V): put(K, V) adds the row unless it is there, del(K, V) removes it.
+
+    Each row is born at the index of the put that added it; with ``since``
+    only the rows born at or after it are seen.
+    """
+    if history is None:
+        return
+    born = {}
+    for index, event in enumerate(history.log):
+        name, key = event.payload.functor, event.payload.args
+        if name == "put":
+            born.setdefault(key, index)
+        elif name == "del":
+            born.pop(key, None)
+    yield from yield_matches(args, binding, [key for key, index in born.items() if index >= since])
+
+
+_row_args = st.sampled_from(_VARS + [Var("Z"), Var("Z"), Const("a"), Const(1), Wildcard("_")])
+_row_body = st.builds(lambda a, b: Compound("row", (a, b)), _row_args, _row_args)
+_capable_literals = st.one_of(
+    st.builds(Literal, _row_body),  # positive: the only steps that read the history
+    st.builds(Literal, _row_body),
+    st.builds(Literal, _templates, st.booleans()),
+    st.builds(
+        Literal, st.builds(Comparison, st.sampled_from(["<", "<=", ">", ">=", "=", "\\="]), _row_args, _row_args), st.booleans()
+    ),
+)
+_row_values = st.sampled_from([Const("a"), Const("b"), Const(1), Const(2)])
+_change = st.tuples(st.sampled_from(["put", "put", "del"]), _row_values, _row_values).map(
+    lambda c: Compound(c[0], (c[1], c[2]))
+)
+
+
+def _outcome(solutions):
+    """'found', 'none', or 'raised' when the search hits an unbound built-in first."""
+    try:
+        return "found" if next(solutions, None) is not None else "none"
+    except UnboundBuiltinArg:
+        return "raised"
+
+
+# at least one row literal, anywhere in the conjunction
+_capable_conjs = st.builds(
+    lambda row, others, at: tuple(others[:at]) + (Literal(row),) + tuple(others[at:]),
+    _row_body,
+    st.lists(_capable_literals, max_size=3),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_capable_conjs, _stored, st.lists(_change, max_size=6), st.lists(_change, min_size=1, max_size=4), _seeds)
+def test_the_delta_test_finds_a_solution_exactly_when_a_new_one_exists(conj, stored, before, after, seed):
+    kb = FactBase()
+    kb.register("row", 2, _row)
+    for f in stored:
+        kb.assert_fact(f)
+    history = History()
+    for change in before:
+        history.record(Event(EventKind.ACTION, change, 0))
+    assume(_outcome(reference_query(kb, conj, seed, history)) == "none")
+    since = len(history.log)
+    for change in after:
+        history.record(Event(EventKind.ACTION, change, 1))
+    delta = kb.plan(conj).delta
+    assert delta is not None
+    try:
+        found = "found" if delta(dict(seed), history, since) else "none"
+    except UnboundBuiltinArg:
+        found = "raised"
+    now = _outcome(reference_query(kb, conj, seed, history))
+    event(f"delta {found}, reference {now}")
+    # a raise on either side means the full search must run
+    assert (found == "none") == (now == "none"), (found, now)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.builds(Literal, _bodies, st.booleans()), st.builds(Literal, _row_body, st.booleans())), max_size=4))
+def test_a_plan_has_a_delta_test_only_when_every_history_step_is_a_positive_since_call(conj):
+    kb = FactBase()
+    kb.register("ev", 1, _ev)
+    kb.register("row", 2, _row)
+
+    def reads(lit):
+        body = lit.body
+        return isinstance(body, (EventRef, Var)) or (isinstance(body, Compound) and body.functor in ("ev", "row"))
+
+    reading = [lit for lit in conj if reads(lit)]
+    capable = bool(reading) and all(
+        not lit.negated and isinstance(lit.body, Compound) and lit.body.functor == "row" for lit in reading
+    )
+    plan = kb.plan(tuple(conj))
+    assert (plan.delta is not None) == capable
+    assert plan.reads_history == bool(reading)

@@ -3,9 +3,12 @@
 A check reads the fact base (its version), the instance's binding and,
 when the formula or its context reads the history, the log (its
 length).  A due check whose inputs all stand reuses the result of the
-last evaluated one; otherwise ``eval_once`` runs.  These tests count the
-``eval_once`` calls, and compare whole runs with reuse forced off, which
-must give the same report byte for byte.
+last evaluated one.  When only the log grew since a check that found no
+solution, the result stands too if the delta test finds no solution
+among the rows that entered since.  Otherwise ``eval_once`` runs.  These
+tests count the ``eval_once`` calls, and compare whole runs with reuse
+(delta tests included) forced off, which must give the same report byte
+for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 
 import pytest
 
-from ailtl import evolutionary
+from ailtl import evolutionary, kb as kb_module, profiles
 from ailtl.dsl import parse_program, parse_trace
 from ailtl.events import Event, EventKind, History
 from ailtl.evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
@@ -22,10 +25,10 @@ from ailtl.kb import Comparison, EventRef, FactBase, Literal
 from ailtl.patterns import PatternElem, PatternSeq, Quant
 from ailtl.runtime import EngineConfig, run
 from ailtl.scenarios import bench_scenario, gen_scenario
-from ailtl.temporal import ContextualFormula, IntervalOp, TemporalOp
+from ailtl.temporal import ContextualFormula, IntervalOp, NonGroundAfterContext, TemporalOp
 from ailtl.terms import Compound, Const, Var, atom
 
-from genprog import random_program, random_trace
+from genprog import random_profile_program, random_profile_trace, random_program, random_trace
 from test_golden import CASES, GOLDEN_DIR
 
 
@@ -188,6 +191,55 @@ def test_random_runs_give_the_same_report_without_reuse(monkeypatch, evaluations
     checks = sum(len(ticks) for result in without if isinstance(result, tuple) for ticks in result[1].values())
     reused = (len(evaluations) - evaluated) - evaluated
     assert checks > 100 and reused > 50  # the runs check, and reuse skips some of it
+
+
+def test_random_profile_runs_give_the_same_report_without_reuse(monkeypatch):
+    # formulas over derived state, where a check whose log grew runs the
+    # delta test first; count its outcomes to see that it ran both ways
+    outcomes = []
+    compile_delta = kb_module._delta
+
+    def counted_delta(solvers):
+        delta = compile_delta(solvers)
+
+        def counted(binding, history, since):
+            found = delta(binding, history, since)
+            outcomes.append(found)
+            return found
+
+        return counted
+
+    monkeypatch.setattr(kb_module, "_delta", counted_delta)
+    cases = []
+    for seed in range(100):
+        rng = random.Random(seed)
+        program = random_profile_program(rng)
+        cases.append((program, random_profile_trace(rng, program)))
+    with_reuse = [_outcome(program, events) for program, events in cases]
+    _without_reuse(monkeypatch)
+    without = [_outcome(program, events) for program, events in cases]
+    assert with_reuse == without
+    reports = [result for result in without if isinstance(result, tuple)]
+    assert len(reports) >= 80
+    assert sum("violated" in text for text, _ in reports) >= 40
+    assert outcomes.count(False) > 300 and outcomes.count(True) > 20
+
+
+def test_a_delta_test_that_raises_hands_the_check_to_eval_once(evaluations):
+    # on the empty queue the check finds nothing and raises nothing; once
+    # an entry is there the comparison is reached unbound
+    rt = ExprRuntime(
+        _never(Literal(atom("in_queue", Var("E"), Var("V"))), Literal(Comparison(">", Var("Z"), Const(3))))
+    )
+    h, kb = History(), FactBase()
+    profiles.install(kb, "queue")
+    rt.step(h, kb, 1)
+    h.record(Event(EventKind.ACTION, atom("peek", Const("q1")), 2))
+    rt.step(h, kb, 2)  # the delta test finds nothing
+    h.record(Event(EventKind.ACTION, atom("push", Const(7), Const("q1")), 3))
+    with pytest.raises(NonGroundAfterContext, match="not ground: Z"):
+        rt.step(h, kb, 3)
+    assert len(evaluations) == 2
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
