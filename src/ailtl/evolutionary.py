@@ -54,6 +54,7 @@ from .temporal import (
     eval_once,
     fire_reaction,
     ground_for_emit,
+    quiet_result,
     step_core,
 )
 from .terms import Binding, Const, Term, subst
@@ -91,6 +92,12 @@ class EvolutionaryExpr:
     eta1: Optional[ReactionAtom] = None
     eta2: Optional[ReactionAtom] = None
     eta3: Reaction = ()
+    # the check result that leaves a holding instance as it is, kept once
+    # per expression (see ``ExprRuntime.step``)
+    quiet: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "quiet", quiet_result(self.core.op.op))
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,15 @@ class StepOutcome:
     if_eval_ns: int = 0
     max_eval_ns: int = 0
     if_viol_ns: int = 0
+
+
+# The outcomes of a quiet step, shared by every instance: tuples, so nothing
+# can be appended to them.
+NOT_DUE = StepOutcome((), (), ())
+CHECKED = StepOutcome((), (), (), evaluated=True)
+
+# bound once: an enum member lookup is about ten times slower than a global
+_HOLDING = ExprStatus.HOLDING
 
 
 @dataclass(slots=True)
@@ -210,8 +226,35 @@ class ExprRuntime:
     def step(
         self, history: History, kb: FactBase, now: int, default_k: int = 1, timed: bool = False
     ) -> StepOutcome:
-        """One engine cycle: arm, police sequences, check the formula when due."""
+        """One engine cycle: arm, police sequences, check the formula when due.
+
+        Most steps are quiet (``_quiet``): a holding instance with nothing
+        to watch, inside its interval.  Such a step is the due test and
+        the check alone.  A check whose result leaves the verdict as it is
+        (``EvolutionaryExpr.quiet``, or a context with no solution) makes
+        the step return the shared ``NOT_DUE`` or ``CHECKED`` outcome,
+        which the engine recognises by identity; with ``timed`` it returns
+        an outcome of its own that carries ``max_eval_ns``.  Any other
+        result goes through ``step_core`` and ``_settle``, which alone
+        move a status.
+        """
         clock = time.perf_counter_ns if timed else None
+        if self._quiet(now):
+            if not due(self.expr.core.op, self.core.lo, now, default_k):
+                return NOT_DUE
+            t0 = clock() if clock else 0
+            holds, binding = self._evaluate(history, kb)
+            self.eval_ticks.append(now)
+            quiet = holds is None or holds is self.expr.quiet
+            if quiet and not clock:
+                return CHECKED
+            out = StepOutcome(evaluated=True)
+            if not quiet:
+                self._settle(out, history, kb, step_core(self.core, self.expr.core.op, holds, now), binding, holds)
+            if clock:
+                out.max_eval_ns = clock() - t0
+            return out
+
         out = StepOutcome()
         if self.terminal:
             return out
@@ -237,6 +280,23 @@ class ExprRuntime:
         if clock:
             out.max_eval_ns = clock() - t2
         return out
+
+    def _quiet(self, now: int) -> bool:
+        """Is this a quiet step: holding, no cursor or breaking scan, before the upper bound?
+
+        Then no sequence needs policing, a check cannot close the
+        interval, and only a result other than the quiet one moves the
+        verdict.  A holding instance's verdict is open (``HOLDS_SO_FAR``):
+        ``_settle`` moves the status whenever the verdict settles.
+        """
+        core = self.core
+        return (
+            self.status is _HOLDING
+            and self._future is None
+            and not self.expr.breaking.elems
+            and core.lo <= now
+            and (core.hi is None or now < core.hi)
+        )
 
     def _police_pre(self, out: StepOutcome, history: History, kb: FactBase, now: int) -> None:
         """Arm on a precondition prefix; until the first check, rebind or disable."""
@@ -313,8 +373,7 @@ class ExprRuntime:
         self.eval_ticks.append(now)
         if holds is None:
             return  # context not applicable in this state
-        verdict = step_core(self.core, self.expr.core.op, holds, now)
-        self._settle(out, history, kb, verdict, binding, holds)
+        self._settle(out, history, kb, step_core(self.core, self.expr.core.op, holds, now), binding, holds)
 
     def _evaluate(self, history: History, kb: FactBase) -> Tuple[Optional[bool], Binding]:
         """``eval_once``, or the previous check's result when it still stands.

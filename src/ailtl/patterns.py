@@ -137,9 +137,11 @@ class _State:
     run_vals: Dict[str, object]
 
     def key(self) -> tuple:
+        # a run's length matters only as empty or not (``extendable``,
+        # ``_run_satisfied``), so parses that differ in it alone are one
         return (
             self.pos,
-            self.count,
+            self.count > 0,
             tuple(sorted(self.exports.items(), key=lambda kv: kv[0])),
             tuple(sorted(((k, id(v) if v is _CONFLICT else v) for k, v in self.run_vals.items()), key=lambda kv: kv[0])),
         )

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import profiles
 from .dsl import Program
 from .events import Event, EventKind, History
-from .evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
+from .evolutionary import CHECKED, NOT_DUE, EvolutionaryExpr, ExprRuntime, ExprStatus
 from .kb import FactBase
 from .metagate import GateDecision, MetaRule, gate
 from .terms import Term, render_term
@@ -273,8 +273,12 @@ class Engine:
         t1 = time.perf_counter_ns() if timed else 0
         emitted = 0
         if_eval = max_eval = if_viol = 0
+        history, kb, default_k = self.history, self.kb, self.default_k
         for inst in snapshot:
-            out = inst.runtime.step(self.history, self.kb, tick, self.default_k, timed)
+            out = inst.runtime.step(history, kb, tick, default_k, timed)
+            if out is CHECKED or out is NOT_DUE:
+                live.append(inst)  # a quiet step: nothing to record, still live
+                continue
             if_eval += out.if_eval_ns
             max_eval += out.max_eval_ns
             if_viol += out.if_viol_ns

@@ -133,14 +133,23 @@ class CoreState:
         return self.verdict in TERMINAL_VERDICTS
 
 
+def quiet_result(op: TemporalOp) -> bool:
+    """The check result that leaves an open verdict as it is.
+
+    ALWAYS waits on true checks, NEVER and EVENTUALLY on false ones; the
+    other result decides the constraint at once.
+    """
+    return op is TemporalOp.ALWAYS
+
+
 def step_core(state: CoreState, op: IntervalOp, holds_now: bool, now: int) -> CoreVerdict:
     """Advance the verdict machine with one due check.
 
-    ``holds_now`` is the formula's satisfiability at this state.  For
-    ALWAYS a false check violates immediately and surviving to the upper
-    bound settles the constraint; for EVENTUALLY the first true check
-    settles it and reaching the bound without one violates; NEVER mirrors
-    ALWAYS with the polarity flipped.  Unbounded constraints never settle.
+    ``holds_now`` is the formula's satisfiability at this state.  A check
+    that differs from ``quiet_result`` decides the constraint: ALWAYS and
+    NEVER are violated, EVENTUALLY holds for good.  A quiet check at the
+    upper bound closes the interval (``close_core``).  Unbounded
+    constraints never settle on a quiet check.
     """
     if state.terminal:
         return state.verdict
@@ -148,19 +157,10 @@ def step_core(state: CoreState, op: IntervalOp, holds_now: bool, now: int) -> Co
         return CoreVerdict.VACUOUS
     if state.hi is not None and now > state.hi:
         return close_core(state, op)
-    at_bound = state.hi is not None and now >= state.hi
-    kind = op.op
-    if kind is TemporalOp.EVENTUALLY:
-        if holds_now:
-            state.verdict = CoreVerdict.HOLDS_FINAL
-        elif at_bound:
-            state.verdict = CoreVerdict.VIOLATED_NOW
-        return state.verdict
-    failed = holds_now if kind is TemporalOp.NEVER else not holds_now
-    if failed:
-        state.verdict = CoreVerdict.VIOLATED_NOW
-    elif at_bound:
-        state.verdict = CoreVerdict.HOLDS_FINAL
+    if bool(holds_now) is not quiet_result(op.op):
+        state.verdict = CoreVerdict.HOLDS_FINAL if op.op is TemporalOp.EVENTUALLY else CoreVerdict.VIOLATED_NOW
+    elif state.hi is not None and now >= state.hi:
+        close_core(state, op)
     return state.verdict
 
 

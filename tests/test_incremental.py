@@ -7,11 +7,15 @@ incremental answer equals the one computed from the whole log at once by
 the straight-line ledgers in ``oracles``, and that a query ``since`` a
 log index sees exactly the ledger rows that entered at or after it.
 Work-count guards keep the per-event matching work and the profile rows
-read per event flat as the trace grows.
+read per event flat as the trace grows, and a matcher's live parses
+bounded by its pattern and the values in the trace, not by its length.
 """
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ailtl import evolutionary, patterns, profiles
@@ -23,7 +27,7 @@ from ailtl.patterns import PatternElem, PatternSeq, Quant
 from ailtl.runtime import run
 from ailtl.scenarios import queue_scenario
 from ailtl.temporal import ContextualFormula, IntervalOp, ReactionAtom, TemporalOp
-from ailtl.terms import Const, Var, atom
+from ailtl.terms import Const, Var, Wildcard, atom, variables
 
 from oracles import battery_charge, queue_contents, queue_trace_stats, stock_totals
 
@@ -274,3 +278,69 @@ def test_the_injected_queue_violates_at_each_duplicate_push():
     expected = [e.timestamp for i, e in enumerate(events) if counts[i + 1] > counts[i]]
     violated = [t.tick for t in report.transitions if t.new is ExprStatus.VIOLATED]
     assert len(expected) == 6 and violated == expected
+
+
+# -- live parses --------------------------------------------------------------
+
+
+def _parse_bound(pattern, values):
+    """The most distinct parses a matcher can hold, however long the trace.
+
+    A parse is its element, whether that element's run is empty, the
+    bindings exported so far and the values seen in the current run;
+    each variable is unbound, one of ``values`` distinct values, or (in
+    a run) in conflict.
+    """
+    names = {name for e in pattern.elems for name in variables(e.template)}
+    return len(pattern.elems) * 2 * (values + 1) ** len(names) * (values + 2) ** len(names)
+
+
+def _guard_live_parses(mp, bound):
+    """Fail at the first event after which a matcher holds more than ``bound`` parses."""
+    feed = patterns._Matcher.feed
+
+    def guarded(self, event, history):
+        alive = feed(self, event, history)
+        assert len(self.states) <= bound, f"{len(self.states)} live parses, bound {bound}"
+        return alive
+
+    mp.setattr(patterns._Matcher, "feed", guarded)
+
+
+_RUN_TEMPLATES = (
+    atom("f", Var("X")),
+    atom("f", Const("a")),
+    atom("f", Wildcard("_w")),
+    atom("g", Var("X")),
+    atom("g", Wildcard("_w")),
+)
+_RUN_PAYLOADS = (atom("f", Const("a")), atom("f", Const("b")), atom("g", Const("a")))
+_run_patterns = st.lists(
+    st.builds(PatternElem, st.sampled_from(_RUN_TEMPLATES), st.none(), st.sampled_from(list(Quant))),
+    min_size=1,
+    max_size=3,
+).map(lambda elems: PatternSeq(tuple(elems)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _run_patterns,
+    st.lists(st.sampled_from(_RUN_PAYLOADS), min_size=1, max_size=3, unique=True),
+    st.integers(0, 2**16),
+)
+def test_live_parses_stay_bounded_on_long_traces(pattern, alphabet, seed):
+    rng = random.Random(seed)
+    h = History()
+    for tick in range(1, 301):
+        h.record(Event(EventKind.ACTION, rng.choice(alphabet), tick))
+    with pytest.MonkeyPatch.context() as mp:
+        _guard_live_parses(mp, _parse_bound(pattern, 2))
+        patterns.match_prefix(pattern, h, 0)
+
+
+def test_a_two_run_expected_future_keeps_its_parses_bounded_over_2000_events(monkeypatch):
+    program = parse_program("facts:\nhalted(no).\nexpr:\nNEVER halted(yes) ::: ping_E(X)*, ping_E(Y)*.\n")
+    [(_, expr)] = program.evolutionary
+    _guard_live_parses(monkeypatch, _parse_bound(expr.future, 1))
+    report = run(program, parse_trace("".join(f"{t} E ping(a)\n" for t in range(1, 2001))))
+    assert report.final_statuses == {"e1": ExprStatus.FULFILLED_SO_FAR} and not report.warnings

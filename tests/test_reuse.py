@@ -6,9 +6,10 @@ length).  A due check whose inputs all stand reuses the result of the
 last evaluated one.  When only the log grew since a check that found no
 solution, the result stands too if the delta test finds no solution
 among the rows that entered since.  Otherwise ``eval_once`` runs.  These
-tests count the ``eval_once`` calls, and compare whole runs with reuse
-(delta tests included) forced off, which must give the same report byte
-for byte.
+tests count the ``eval_once`` calls (and, on static constraints, the
+``step_core`` calls: a quiet check does not step the verdict machine),
+and compare whole runs with reuse (delta tests included) forced off,
+which must give the same report byte for byte.
 """
 
 from __future__ import annotations
@@ -157,6 +158,22 @@ def test_static_constraints_are_evaluated_once_per_instance(evaluations):
     assert sum(len(ticks) for ticks in report.eval_ticks.values()) == 50 * 40
 
 
+def test_static_constraints_step_the_verdict_machine_once_per_instance(monkeypatch):
+    calls = 0
+    original = evolutionary.step_core
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(evolutionary, "step_core", counted)
+    program, trace = bench_scenario(50, 40)
+    report = run(parse_program(program), parse_trace(trace))
+    assert calls == 50  # the first checks; every later one is quiet
+    assert sum(len(ticks) for ticks in report.eval_ticks.values()) == 50 * 40
+
+
 def test_a_rule_over_the_log_is_evaluated_on_every_due_tick_the_log_grew(evaluations):
     program, trace = gen_scenario("temperature")
     report = run(parse_program(program), parse_trace(trace))
@@ -169,7 +186,7 @@ def test_a_rule_over_the_log_is_evaluated_on_every_due_tick_the_log_grew(evaluat
 # -- whole runs, reuse on and off -------------------------------------------------
 
 
-def _outcome(program, events):
+def outcome(program, events):
     try:
         report = run(program, events, EngineConfig(max_feedback_ticks=50))
     except Exception as exc:  # the run's error is part of what must agree
@@ -183,10 +200,10 @@ def test_random_runs_give_the_same_report_without_reuse(monkeypatch, evaluations
         rng = random.Random(seed)
         program = random_program(rng)
         cases.append((program, random_trace(rng, program)))
-    with_reuse = [_outcome(program, events) for program, events in cases]
+    with_reuse = [outcome(program, events) for program, events in cases]
     evaluated = len(evaluations)
     _without_reuse(monkeypatch)
-    without = [_outcome(program, events) for program, events in cases]
+    without = [outcome(program, events) for program, events in cases]
     assert with_reuse == without
     checks = sum(len(ticks) for result in without if isinstance(result, tuple) for ticks in result[1].values())
     reused = (len(evaluations) - evaluated) - evaluated
@@ -215,9 +232,9 @@ def test_random_profile_runs_give_the_same_report_without_reuse(monkeypatch):
         rng = random.Random(seed)
         program = random_profile_program(rng)
         cases.append((program, random_profile_trace(rng, program)))
-    with_reuse = [_outcome(program, events) for program, events in cases]
+    with_reuse = [outcome(program, events) for program, events in cases]
     _without_reuse(monkeypatch)
-    without = [_outcome(program, events) for program, events in cases]
+    without = [outcome(program, events) for program, events in cases]
     assert with_reuse == without
     reports = [result for result in without if isinstance(result, tuple)]
     assert len(reports) >= 80
