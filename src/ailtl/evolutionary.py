@@ -430,7 +430,10 @@ class ExprRuntime:
             if self.expr.eta1 is not None:
                 self._fire(out, "eta1", (self.expr.eta1,), kb, history, binding)
         elif verdict is CoreVerdict.HOLDS_FINAL:
-            self._move(out, ExprStatus.FULFILLED, Const("interval_closed"))
+            # a check that differs from the quiet result decided it: an
+            # EVENTUALLY saw its witness; a quiet one closed the interval
+            witness = holds is not None and holds is not self.expr.quiet
+            self._move(out, ExprStatus.FULFILLED, Const("witness" if witness else "interval_closed"))
         elif verdict is CoreVerdict.HOLDS_SO_FAR and self.status is ExprStatus.ARMED:
             self._move(out, ExprStatus.HOLDING, Const("first_check"))
 

@@ -42,7 +42,7 @@ new rows alone (``Plan.delta``).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .events import EventKind, History
@@ -96,6 +96,16 @@ class EventRef:
 class Literal:
     body: Union[Term, Comparison, EventRef]
     negated: bool = False
+    # filled on the first ``__hash__``: a plan lookup then hashes one int per
+    # literal instead of walking its terms, and parsing pays nothing for it
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.body, self.negated))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 Conj = Tuple[Literal, ...]
@@ -201,6 +211,19 @@ class FactBase:
     def evaluates(self, name: str, arity: int) -> bool:
         """Is ``name/arity`` answered by a registered evaluator?"""
         return (name, arity) in self._evaluators
+
+    def classifies(self, functor: str, payload: Term, history: Optional[History]) -> bool:
+        """Does ``functor(payload)`` hold: a stored fact, or a solution of its evaluator?
+
+        This is what a plan of ``functor(Classified)`` answers under the
+        seed ``{Classified: payload}``, decided without one: a membership
+        test, or one call of the evaluator with the arguments and the
+        binding that plan would pass it.
+        """
+        evaluator = self._evaluators.get((functor, 1))
+        if evaluator is None:
+            return Compound(functor, (payload,)) in self._present
+        return next(evaluator(self, history, (payload,), {"Classified": payload}), None) is not None
 
     def register_cost(self, name: str, table_or_fn: Union[Dict[str, int], CostFn]) -> None:
         if callable(table_or_fn):

@@ -15,7 +15,13 @@ Template matching is structural first; when that fails, a unary template
 ``f(X)`` also matches an event whose payload ``p`` the fact base
 classifies as ``f(p)`` (so ``extensive_usage_action(Act)`` matches a
 logged ``dry_water`` action when the knowledge base says
-``extensive_usage_action(dry_water)``).
+``extensive_usage_action(dry_water)``).  Each element computes once, when
+it is built, the ``(functor, arity)`` key of its template and the
+classifier functor of a unary template.  The structural match is tried
+only when the template has no key (a variable, wildcard or integer) or
+its key is the payload's, and classification is one
+``FactBase.classifies`` call: a membership test for a stored classifier,
+one evaluator call for a registered one.  No query is built per event.
 
 Variables bound by earlier elements constrain later ones.  Within a
 ``+``/``*`` run, a variable that takes the same value on every repetition
@@ -31,8 +37,8 @@ from enum import Enum
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .events import Event, EventKind, History, PAST_LIKE
-from .kb import FactBase, Literal
-from .terms import Binding, Compound, Term, Var, match
+from .kb import FactBase
+from .terms import Binding, Compound, Term, functor_of, match
 
 _CONFLICT = object()  # demoted in-run variable
 
@@ -48,6 +54,16 @@ class PatternElem:
     template: Term
     kind: Optional[EventKind] = None
     quant: Quant = Quant.ONE
+    # computed once per element (see ``template_match``): the template's
+    # (functor, arity), None when it is a variable, wildcard or integer; and
+    # the functor of a unary compound template, which may classify a payload
+    key: Optional[Tuple[str, int]] = field(init=False, repr=False, compare=False)
+    classifier: Optional[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        t = self.template
+        object.__setattr__(self, "key", functor_of(t))
+        object.__setattr__(self, "classifier", t.functor if isinstance(t, Compound) and len(t.args) == 1 else None)
 
 
 @dataclass(frozen=True)
@@ -99,23 +115,20 @@ def template_match(
     """Structural match, falling back to fact-base classification."""
     if not _kind_ok(elem, event):
         return None
-    hit = match(elem.template, event.payload, binding)
-    if hit is not None:
-        return hit
-    t = elem.template
-    if kb is None or not isinstance(t, Compound) or len(t.args) != 1:
+    payload = event.payload
+    key = elem.key
+    # a template with a key matches only a payload with the same key
+    if key is None or key == functor_of(payload):
+        hit = match(elem.template, payload, binding)
+        if hit is not None:
+            return hit
+    functor = elem.classifier
+    if functor is None or kb is None:
         return None
-    hit = match(t.args[0], event.payload, binding)
-    if hit is None:
-        return None
-    # the payload goes in the seed, so one plan serves every event
-    probe = (Literal(Compound(t.functor, (_CLASSIFIED,))),)
-    if next(kb.query(probe, seed={_CLASSIFIED.name: event.payload}, history=history), None) is None:
+    hit = match(elem.template.args[0], payload, binding)
+    if hit is None or not kb.classifies(functor, payload, history):
         return None
     return hit
-
-
-_CLASSIFIED = Var("Classified")
 
 
 def first_hit(
@@ -240,10 +253,7 @@ def _history_dependent(pattern: PatternSeq, kb: Optional[FactBase]) -> bool:
     """Does an element fall back on a classifier answered by a registered evaluator?"""
     if kb is None:
         return False
-    return any(
-        isinstance(e.template, Compound) and len(e.template.args) == 1 and kb.evaluates(e.template.functor, 1)
-        for e in pattern.elems
-    )
+    return any(e.classifier is not None and kb.evaluates(e.classifier, 1) for e in pattern.elems)
 
 
 class PrefixCursor:

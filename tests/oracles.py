@@ -312,7 +312,10 @@ def quantifier_verdict(op: str, m: int, n: int, valuations: Sequence[bool]) -> b
 _CONFLICT = ("conflict",)
 
 
-def _elem_hits(elem, event: Event, exports: Binding, kb: Optional[FactBase]) -> Optional[Binding]:
+def _elem_hits(
+    elem, event: Event, exports: Binding, kb: Optional[FactBase], history: Optional[History] = None
+) -> Optional[Binding]:
+    """One element against one event: the classifier is asked by a query of the ground atom."""
     if elem.kind is not None:
         kinds = PAST_LIKE if elem.kind is EventKind.PAST else (elem.kind,)
         if event.kind not in kinds:
@@ -326,7 +329,7 @@ def _elem_hits(elem, event: Event, exports: Binding, kb: Optional[FactBase]) -> 
     if hit is None:
         return None
     probe = Literal(Compound(elem.template.functor, (event.payload,)))
-    if next(kb.query((probe,)), None) is None:
+    if next(kb.query((probe,), history=history), None) is None:
         return None
     return hit
 

@@ -280,6 +280,52 @@ def test_the_injected_queue_violates_at_each_duplicate_push():
     assert len(expected) == 6 and violated == expected
 
 
+
+# a standing duty whose expected-future and breaking sequences are classified
+# by stored facts; the trace never breaks it, so the same formula checks run
+# with the sequences and without them
+_CLASSIFIED_FACTS = "facts:\nhalted(no).\nroutine_action(move).\nroutine_action(clean).\nheavy_action(flush).\n"
+
+
+def _kb_calls(monkeypatch, expr_text, trace_text):
+    """``FactBase.query`` and ``FactBase.plan`` calls, and template matches, of one run."""
+    calls = {"query": 0, "plan": 0, "template_match": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(FactBase, "query")
+    counting(FactBase, "plan")
+    counting(patterns, "template_match")
+    report = run(parse_program(_CLASSIFIED_FACTS + "expr:\n" + expr_text), parse_trace(trace_text))
+    monkeypatch.undo()
+    assert report.final_statuses["e1"] is ExprStatus.FULFILLED_SO_FAR and not report.warnings
+    return calls, report.events_seen
+
+
+def test_matching_over_stored_classifiers_adds_no_query(monkeypatch):
+    lines = []
+    for tick in range(1, 401):
+        lines.append(f"{tick} N sensor({tick % 7})")
+        if tick % 3 == 0:
+            lines.append(f"{tick} A {('move', 'clean', 'idle')[tick % 9 // 3]}")
+    trace = "\n".join(lines) + "\n"
+    watched, events = _kb_calls(
+        monkeypatch, "NEVER halted(yes) ::: routine_action(Act)* :::: heavy_action(Act)*.\n", trace
+    )
+    bare, _ = _kb_calls(monkeypatch, "NEVER halted(yes).\n", trace)
+    assert events >= 500
+    # every event is probed by both sequences, each through a classifier
+    assert watched["template_match"] >= 2 * events and bare["template_match"] == 0
+    assert (watched["query"], watched["plan"]) == (bare["query"], bare["plan"])
+
+
 # -- live parses --------------------------------------------------------------
 
 

@@ -18,10 +18,11 @@ from ailtl.patterns import (
     Quant,
     match_prefix,
     occurrences,
+    template_match,
 )
 from ailtl.terms import Compound, Const, Var, Wildcard, atom
 
-from oracles import oracle_match_prefix
+from oracles import _elem_hits, oracle_match_prefix
 
 
 def elem(name, *args, kind=None, quant=Quant.ONE):
@@ -156,14 +157,15 @@ def test_occurrences_are_strictly_after_since():
     assert len(list(occurrences(p, h, 0))) == 1
 
 
-def test_history_dependent_classifier_is_rechecked_from_scratch():
-    # flagged(p) holds once some flag(p) has been logged, so an event read
-    # as irrelevant may turn relevant later; the cursor must not miss it
-    def flagged(kb, history, args, binding):
-        marks = {e.payload.args[0] for e in history.log if isinstance(e.payload, Compound)}
-        if args[0] in marks:
-            yield dict(binding)
+def flagged(kb, history, args, binding):
+    """``flagged(p)`` holds once a compound payload with first argument ``p`` has been logged."""
+    marks = {e.payload.args[0] for e in history.log if isinstance(e.payload, Compound)}
+    if args[0] in marks:
+        yield dict(binding)
 
+
+def test_history_dependent_classifier_is_rechecked_from_scratch():
+    # an event read as irrelevant may turn relevant later; the cursor must not miss it
     kb = FactBase()
     kb.register("flagged", 1, flagged)
     p = seq(elem("flagged", Var("X")))
@@ -254,3 +256,50 @@ def test_cursor_fed_in_chunks_agrees_with_the_oracle(data):
             h.record(Event(EventKind.ACTION, payload, tick))
         got = match_prefix(pattern, h, since, seed=seed, cursor=cursor)
         assert got == oracle_match_prefix(pattern, h.log, since, seed=seed), f"chunks={chunks}"
+
+
+# template_match against the oracle's query-based probe: elements of every
+# kind of template and kind filter, one event, a seed that may conflict with
+# it, and stored, absent and evaluator-backed classifiers
+_FA = atom("f", A)
+_PAYLOADS = (
+    A, B, Const("flush"), _FA, atom("f", B), atom("f", A, B), atom("heavy", A), atom("g", _FA), atom("flag", A)
+)
+_ARGS = (Var("X"), Var("Y"), Wildcard("_w"), A, B, Const(1), atom("f", Var("X")))
+# heavy and f are stored classifiers, absent has no facts, flagged is an evaluator
+_FUNCTORS = ("heavy", "f", "absent", "flagged")
+_STORABLE = (atom("heavy", Const("flush")), atom("heavy", A), atom("heavy", _FA), atom("f", A), atom("f", _FA))
+_UNARY = st.builds(atom, st.sampled_from(_FUNCTORS), st.sampled_from(_ARGS))
+_TEMPLATES = st.one_of(
+    st.sampled_from((A, B, Const("flush"), Const(1), Var("X"), Wildcard("_w"))),
+    _UNARY,
+    _UNARY,
+    st.builds(atom, st.sampled_from(_FUNCTORS), st.sampled_from(_ARGS), st.sampled_from(_ARGS)),
+)
+_KIND_FILTERS = st.sampled_from([None, None] + list(EventKind))
+_ELEMS = st.lists(st.builds(PatternElem, _TEMPLATES, _KIND_FILTERS), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    elems=_ELEMS,
+    seed=st.dictionaries(st.sampled_from(("X", "Y")), st.sampled_from((A, B, _FA)), max_size=2),
+    stored=st.sets(st.sampled_from(_STORABLE)),
+    with_kb=st.sampled_from((True, True, False)),
+    logged=st.lists(st.sampled_from(_PAYLOADS), max_size=4),
+)
+def test_template_match_agrees_with_the_query_probe(elems, seed, stored, with_kb, logged):
+    kb = None
+    if with_kb:
+        kb = FactBase()
+        for fact in stored:
+            kb.assert_fact(fact)
+        kb.register("flagged", 1, flagged)
+    # every payload of the pool, logged as each kind after the drawn events
+    for payload, kind in itertools.product(_PAYLOADS, EventKind):
+        h = log(*logged)
+        event = Event(kind, payload, len(logged) + 1)
+        h.record(event)
+        for e in elems:
+            expected = _elem_hits(e, event, dict(seed), kb, h)
+            assert template_match(e, event, dict(seed), kb, h) == expected, (e, event)

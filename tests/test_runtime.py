@@ -168,3 +168,34 @@ def test_goal_events_are_not_gated():
     # only the action went through the gate; the goal was recorded directly
     assert len(report.gate_log) == 1
     assert report.gate_log[0].decision is GateDecision.BLOCKED_BY_SOLVE_NOT
+
+
+def _transitions(program_text, trace_text):
+    report = run(parse_program(program_text), parse_trace(trace_text))
+    return [line for line in report.render().splitlines() if line.startswith("transition ")]
+
+
+def test_an_unbounded_eventually_is_fulfilled_by_its_witness():
+    trace = "\n".join(f"{t} N tickmark({t})" for t in range(1, 4))
+    assert _transitions("facts:\ngood(yes).\nexpr:\nEVENTUALLY good(yes).\n", trace) == [
+        "transition 1 e1 dormant->armed cause=precondition_prefix",
+        "transition 1 e1 armed->fulfilled cause=witness",
+    ]
+
+
+def test_a_bounded_eventually_with_a_witness_before_its_bound_is_fulfilled_by_it():
+    trace = "1 N tickmark(1)\n2 N tickmark(2)\n3 N ping(yes)\n4 N tickmark(4)\n"
+    assert _transitions("expr:\nEVENTUALLY(0, 8) ping_N(yes).\n", trace) == [
+        "transition 1 e1 dormant->armed cause=precondition_prefix",
+        "transition 1 e1 armed->holding cause=first_check",
+        "transition 3 e1 holding->fulfilled cause=witness",
+    ]
+
+
+def test_an_always_that_holds_to_its_bound_closes_the_interval():
+    trace = "\n".join(f"{t} N tickmark({t})" for t in range(0, 5))
+    assert _transitions("expr:\nALWAYS(0, 3) not ghost.\n", trace) == [
+        "transition 0 e1 dormant->armed cause=precondition_prefix",
+        "transition 0 e1 armed->holding cause=first_check",
+        "transition 3 e1 holding->fulfilled cause=interval_closed",
+    ]
