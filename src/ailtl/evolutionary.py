@@ -134,6 +134,21 @@ CHECKED = StepOutcome((), (), (), evaluated=True)
 # bound once: an enum member lookup is about ten times slower than a global
 _HOLDING = ExprStatus.HOLDING
 
+# the causes of status moves, built once: a report keeps one per transition
+_CAUSE = {
+    name: Const(name)
+    for name in (
+        "violated",
+        "precondition_order",
+        "precondition_prefix",
+        "first_check",
+        "witness",
+        "interval_closed",
+        "no_witness",
+        "end_of_run",
+    )
+}
+
 
 @dataclass(slots=True)
 class _Check:
@@ -208,7 +223,7 @@ class ExprRuntime:
             if not lit.negated and not isinstance(lit.body, Comparison)
         ]
         if not candidates:
-            return Const("violated")
+            return _CAUSE["violated"]
         if not holds:
             # the formula had no witness; bind the observed values alone so
             # the cause reports what was actually seen
@@ -304,13 +319,13 @@ class ExprRuntime:
         if isinstance(result, NoEvents):
             return
         if isinstance(result, Mismatch):
-            self._move(out, ExprStatus.DISABLED, Const("precondition_order"))
+            self._move(out, ExprStatus.DISABLED, _CAUSE["precondition_order"])
             return
         self.binding = result.binding
         if self.status is ExprStatus.DORMANT:
             self.armed_at = now
             self.core = CoreState.enable(self.expr.core.op, now)
-            self._move(out, ExprStatus.ARMED, Const("precondition_prefix"))
+            self._move(out, ExprStatus.ARMED, _CAUSE["precondition_prefix"])
 
     def _scan_breaking(self, out: StepOutcome, history: History, kb: FactBase) -> bool:
         """True when the instance just broke.
@@ -433,9 +448,9 @@ class ExprRuntime:
             # a check that differs from the quiet result decided it: an
             # EVENTUALLY saw its witness; a quiet one closed the interval
             witness = holds is not None and holds is not self.expr.quiet
-            self._move(out, ExprStatus.FULFILLED, Const("witness" if witness else "interval_closed"))
+            self._move(out, ExprStatus.FULFILLED, _CAUSE["witness" if witness else "interval_closed"])
         elif verdict is CoreVerdict.HOLDS_SO_FAR and self.status is ExprStatus.ARMED:
-            self._move(out, ExprStatus.HOLDING, Const("first_check"))
+            self._move(out, ExprStatus.HOLDING, _CAUSE["first_check"])
 
     # -- run end --------------------------------------------------------
 
@@ -451,10 +466,10 @@ class ExprRuntime:
         if self.core.hi is not None and end >= self.core.hi:
             verdict = close_core(self.core, self.expr.core.op)
             new = ExprStatus.FULFILLED if verdict is CoreVerdict.HOLDS_FINAL else ExprStatus.VIOLATED
-            cause = Const("interval_closed" if new is ExprStatus.FULFILLED else "no_witness")
+            cause = _CAUSE["interval_closed" if new is ExprStatus.FULFILLED else "no_witness"]
         else:
             new = ExprStatus.FULFILLED_SO_FAR
-            cause = Const("end_of_run")
+            cause = _CAUSE["end_of_run"]
         transition = Transition(self.status, new, cause)
         self.status = new
         return new, transition
