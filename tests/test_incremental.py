@@ -280,7 +280,6 @@ def test_the_injected_queue_violates_at_each_duplicate_push():
     assert len(expected) == 6 and violated == expected
 
 
-
 # a standing duty whose expected-future and breaking sequences are classified
 # by stored facts; the trace never breaks it, so the same formula checks run
 # with the sequences and without them
