@@ -1,22 +1,23 @@
-"""Run the benchmark on every workload and seed; write medians and IQRs as JSON.
+"""Run the benchmark suite on this checkout and on a parent revision, alternating.
 
-    python3 scripts/bench_suite.py --out BENCH_7.json --seeds 101 102 103 --parent bb5ef08
+    python3 scripts/bench_suite.py --out BENCH_7.json --seeds 111-120 --parent bb5ef08
 
-Runs this checkout's ``perfbench/run.py --trace 0`` once per workload and
-seed, each run in its own subprocess, and reads the JSON object on the
-last line it prints.  The workloads are those that ``BENCHMARK.json``
-lists.  The output holds, per workload and metric, the median, the
-quartiles and the interquartile range over the seeds, and each run's
-value in seed order, with the Python version, ``nproc``, the git revision
-and the seeds.  A run that exits with an error or whose report was wrong
-counts as failed and gives no values.
+Runs the ``command`` of ``BENCHMARK.json`` with ``--trace 0`` and its
+``run_seconds``, once per workload and seed, each run in its own
+subprocess, and reads the JSON object on the last line it prints.  Each
+metric is summarised by ``perfbench/stability.py``'s ``summarise``: the
+median, the quartiles, the spread and each run's value in seed order.
+Each workload also keeps the ``attempted`` and ``failed`` operation
+counts summed over its runs, and how many runs reported a wrong result.
+The output carries the Python version, ``nproc``, the git revision and
+the seeds.
 
 With ``--parent REV`` the same suite also runs on revision ``REV``,
 exported with ``git archive`` into a temporary directory, and is written
 as the ``parent`` block.  The two sides alternate run by run, and the side
 that goes first alternates from one seed to the next, so a drift in the
 machine's speed falls on both; each seed then gives one parent/change
-pair.
+pair.  A run that exits with an error stops the suite.
 """
 
 from __future__ import annotations
@@ -25,93 +26,93 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from stability import parse_seeds, summarise  # noqa: E402
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Optional[Dict[str, dict]]:
-    """The metrics of one ``run.py`` invocation, or None when it failed."""
-    cmd = [sys.executable, str(checkout / "perfbench" / "run.py")]
-    cmd += ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        print(proc.stderr, file=sys.stderr)
-        return None
-    result = json.loads(lines[-1])
-    return result["metrics"] if result["correct"] else None
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """The result object of one benchmark run in ``checkout``."""
+    cmd = SPEC["command"] + [
+        "--workload", workload, "--seed", str(seed), "--seconds", str(SPEC["run_seconds"]), "--trace", "0",
+    ]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(done.stderr, file=sys.stderr)
+        raise SystemExit(f"{checkout} {workload} seed {seed}: exit code {done.returncode}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def summarize(runs: List[Optional[Dict[str, dict]]]) -> dict:
-    """Median, quartiles and IQR of each metric over the runs that succeeded."""
-    done = [r for r in runs if r is not None]
-    out: dict = {"runs": len(runs), "failed": len(runs) - len(done)}
-    for name in done[0] if done else ():
-        values = [r[name]["value"] for r in done]
-        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-        out[name] = {
-            "unit": done[0][name]["unit"],
-            "median": median,
-            "q1": q1,
-            "q3": q3,
-            "iqr": q3 - q1,
-            "values": [None if r is None else r[name]["value"] for r in runs],
-        }
+def summary(runs: List[dict]) -> dict:
+    out = {
+        "attempted": sum(r["attempted"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "incorrect": sum(not r["correct"] for r in runs),
+        "metrics": {},
+    }
+    for name, first in runs[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in runs]
+        if any(v is None for v in values):
+            out["metrics"][name] = {"missing": True}
+        else:
+            out["metrics"][name] = {"unit": first["unit"], **summarise(values)}
     return out
-
-
-def block(revision: str, seeds: List[int], runs: Dict[str, list]) -> dict:
-    return {"revision": revision, "seeds": seeds, "workloads": {w: summarize(r) for w, r in runs.items()}}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seeds", default="1-10", help="as in perfbench/stability.py: 1-10 or 1,2,3")
     parser.add_argument("--parent", help="a git revision to run the same suite on, alternating with this checkout")
     args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
 
-    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    workloads = [w["name"] for w in SPEC["workloads"]]
     dirty = git("status", "--porcelain", "--untracked-files=no")
-    revision = git("rev-parse", "--short", "HEAD") + ("-dirty" if dirty else "")
+    revisions = {"head": git("rev-parse", "--short", "HEAD") + ("-dirty" if dirty else "")}
     sides = {"head": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
         if args.parent:
-            parent_rev = git("rev-parse", "--short", args.parent)
+            revisions["parent"] = git("rev-parse", "--short", args.parent)
             archive = subprocess.run(
-                ["git", "archive", "--format=tar", parent_rev], cwd=ROOT, capture_output=True, check=True
+                ["git", "archive", "--format=tar", revisions["parent"]], cwd=ROOT, capture_output=True, check=True
             )
             subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
             sides["parent"] = Path(tmp)
         runs: Dict[str, Dict[str, list]] = {side: {w: [] for w in workloads} for side in sides}
         for workload in workloads:
-            for i, seed in enumerate(args.seeds):
-                order = list(sides) if i % 2 == 0 else list(reversed(sides))
-                for side in order:
-                    metrics = run_once(sides[side], workload, seed, args.seconds)
-                    runs[side][workload].append(metrics)
-                    value = None if metrics is None else metrics["events_per_s"]["value"]
-                    print(f"{workload} seed {seed} {side}: events_per_s {value}", file=sys.stderr, flush=True)
+            for i, seed in enumerate(seeds):
+                for side in list(sides) if i % 2 == 0 else reversed(list(sides)):
+                    result = run_once(sides[side], workload, seed)
+                    runs[side][workload].append(result)
+                    rate = result["metrics"]["events_per_s"]["value"]
+                    print(f"{workload} seed {seed} {side}: events_per_s {rate}", file=sys.stderr, flush=True)
 
+    blocks = {
+        side: {"revision": revisions[side], "workloads": {w: summary(r) for w, r in runs[side].items()}}
+        for side in sides
+    }
     report = {
         "python": platform.python_version(),
-        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "seconds": args.seconds,
-        **block(revision, args.seeds, runs["head"]),
+        "nproc": len(os.sched_getaffinity(0)),
+        "run_seconds": SPEC["run_seconds"],
+        "seeds": seeds,
+        **blocks["head"],
     }
     if args.parent:
-        report["parent"] = block(parent_rev, args.seeds, runs["parent"])
+        report["parent"] = blocks["parent"]
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

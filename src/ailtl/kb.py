@@ -220,10 +220,16 @@ class FactBase:
         test, or one call of the evaluator with the arguments and the
         binding that plan would pass it.
         """
-        evaluator = self._evaluators.get((functor, 1))
-        if evaluator is None:
-            return Compound(functor, (payload,)) in self._present
-        return next(evaluator(self, history, (payload,), {"Classified": payload}), None) is not None
+        for _ in self._atom_solutions(Compound(functor, (payload,)), {"Classified": payload}, history):
+            return True
+        return False
+
+    def _atom_solutions(self, atom: Term, binding: Binding, history: Optional[History]) -> Iterable[Binding]:
+        """The bindings a ground atom yields: its evaluator's solutions, or ``binding`` if it is stored."""
+        evaluator = self._evaluators.get(functor_of(atom))
+        if evaluator is not None:
+            return evaluator(self, history, atom.args if isinstance(atom, Compound) else (), binding)
+        return (binding,) if atom in self._present else ()
 
     def register_cost(self, name: str, table_or_fn: Union[Dict[str, int], CostFn]) -> None:
         if callable(table_or_fn):
@@ -324,18 +330,11 @@ class FactBase:
 
     def _bound_atom(self, name: str) -> Solve:
         """A variable used as a literal: the atom it is bound to, looked up when reached."""
-        present, evaluators = self._present, self._evaluators
 
         def solve(binding: Binding, history: Optional[History]) -> Iterator[Binding]:
             atom = binding.get(name)
-            key = functor_of(atom) if atom is not None else None
-            if key is None:
-                return
-            evaluator = evaluators.get(key)
-            if evaluator is not None:
-                yield from evaluator(self, history, atom.args if isinstance(atom, Compound) else (), binding)
-            elif atom in present:
-                yield binding
+            if atom is not None:
+                yield from self._atom_solutions(atom, binding, history)
 
         return solve
 
