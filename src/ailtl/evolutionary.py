@@ -57,7 +57,7 @@ from .temporal import (
     quiet_result,
     step_core,
 )
-from .terms import Binding, Const, Term, subst
+from .terms import EMPTY_BINDING, Binding, Const, Term, subst
 
 
 class ExprStatus(Enum):
@@ -100,14 +100,14 @@ class EvolutionaryExpr:
         object.__setattr__(self, "quiet", quiet_result(self.core.op.op))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Effect:
     channel: str  # repair | eta1 | eta2 | eta3
     kind: EventKind
     payload: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     old: ExprStatus
     new: ExprStatus
@@ -178,16 +178,36 @@ class ExprRuntime:
     binding the scan has run under.  The inputs and result of the last
     evaluated check are kept too, until the instance ends: a due check
     whose inputs have not moved reuses that result (see ``_evaluate``).
+    The ticks of the checks are kept as runs of one stride
+    (``record_tick``), so a check at the usual stride stores one int.
     """
+
+    __slots__ = (
+        "expr",
+        "scan_since",
+        "status",
+        "binding",
+        "armed_at",
+        "core",
+        "_pre",
+        "_future",
+        "_breaking_seed",
+        "_breaking_at",
+        "_breaking_past",
+        "_last",
+        "_tick_runs",
+        "_tick_start",
+        "_tick_last",
+        "_tick_stride",
+    )
 
     def __init__(self, expr: EvolutionaryExpr, scan_since: int = -1) -> None:
         self.expr = expr
         self.scan_since = scan_since
         self.status = ExprStatus.DORMANT
-        self.binding: Binding = {}
+        self.binding: Binding = EMPTY_BINDING
         self.armed_at: Optional[int] = None
         self.core: Optional[CoreState] = None
-        self.eval_ticks: List[int] = []
         self._pre: Optional[PrefixCursor] = PrefixCursor() if expr.pre else None
         self._future: Optional[PrefixCursor] = PrefixCursor() if expr.future else None
         self._breaking_seed = self.binding
@@ -195,12 +215,45 @@ class ExprRuntime:
         # (binding, log length read under it) of each binding replaced so far
         self._breaking_past: Tuple[Tuple[Binding, int], ...] = ()
         self._last: Optional[_Check] = None
+        # the checked ticks: closed runs, then the open run (start, last,
+        # stride); a stride of None means the open run has one tick or none
+        self._tick_runs: List[range] = []
+        self._tick_start: Optional[int] = None
+        self._tick_last = 0
+        self._tick_stride: Optional[int] = None
 
     # -- helpers --------------------------------------------------------
 
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATUSES
+
+    def record_tick(self, now: int) -> None:
+        """Record a check at ``now``, a tick above every one recorded before."""
+        if now - self._tick_last == self._tick_stride:
+            self._tick_last = now
+            return
+        if self._tick_start is not None:
+            if self._tick_stride is None:
+                # the open run's second tick sets its stride
+                self._tick_stride = now - self._tick_last
+                self._tick_last = now
+                return
+            self._tick_runs.append(range(self._tick_start, self._tick_last + 1, self._tick_stride))
+        self._tick_start = self._tick_last = now
+        self._tick_stride = None
+
+    @property
+    def tick_runs(self) -> Tuple[range, ...]:
+        """The checked ticks as ascending runs, the open one last."""
+        if self._tick_start is None:
+            return ()
+        return (*self._tick_runs, range(self._tick_start, self._tick_last + 1, self._tick_stride or 1))
+
+    @property
+    def eval_ticks(self) -> List[int]:
+        """The checked ticks, in order (``tick_runs`` expanded)."""
+        return [tick for run in self.tick_runs for tick in run]
 
     def _move(self, out: StepOutcome, new: ExprStatus, cause: Term) -> None:
         out.transitions.append(Transition(self.status, new, cause))
@@ -259,7 +312,7 @@ class ExprRuntime:
                 return NOT_DUE
             t0 = clock() if clock else 0
             holds, binding = self._evaluate(history, kb)
-            self.eval_ticks.append(now)
+            self.record_tick(now)
             quiet = holds is None or holds is self.expr.quiet
             if quiet and not clock:
                 return CHECKED
@@ -385,7 +438,7 @@ class ExprRuntime:
             return
         holds, binding = self._evaluate(history, kb)
         out.evaluated = True
-        self.eval_ticks.append(now)
+        self.record_tick(now)
         if holds is None:
             return  # context not applicable in this state
         self._settle(out, history, kb, step_core(self.core, self.expr.core.op, holds, now), binding, holds)

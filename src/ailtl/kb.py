@@ -47,6 +47,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 from .events import EventKind, History
 from .terms import (
+    EMPTY_BINDING,
     Binding,
     Compound,
     Const,
@@ -256,7 +257,7 @@ class FactBase:
         history: Optional[History] = None,
     ) -> Iterator[Binding]:
         """All bindings satisfying the conjunction, left to right."""
-        return self.plan(tuple(conj)).solutions(dict(seed or {}), history)
+        return self.plan(tuple(conj)).solutions(seed if seed is not None else EMPTY_BINDING, history)
 
     def plan(self, conj: Conj) -> "Plan":
         """The plan of ``conj``, compiled on its first use and kept until ``register``."""

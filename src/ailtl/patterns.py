@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .events import Event, EventKind, History, PAST_LIKE
 from .kb import FactBase
-from .terms import Binding, Compound, Term, functor_of, match
+from .terms import EMPTY_BINDING, Binding, Compound, Term, functor_of, match
 
 _CONFLICT = object()  # demoted in-run variable
 
@@ -193,7 +193,7 @@ class _Matcher:
     def __init__(self, pattern: PatternSeq, kb: Optional[FactBase], seed: Binding):
         self.pattern = pattern
         self.kb = kb
-        self.states: List[_State] = [_State(0, 0, dict(seed), {})]
+        self.states: List[_State] = [_State(0, 0, seed, {})]
 
     def feed(self, event: Event, history: History) -> bool:
         """Consume one relevant event; False when no parse survives."""
@@ -309,9 +309,10 @@ def match_prefix(
     with the accumulated binding when relevant events follow the pattern
     order; ``Mismatch`` at the first relevant event no parse can absorb.
     Without a ``cursor`` the match is one-shot; with one, the call reads
-    only what was logged since the cursor's last call.
+    only what was logged since the cursor's last call.  The seed is not
+    copied: an empty pattern completes with the seed itself.
     """
-    seed = dict(seed or {})
+    seed = seed if seed is not None else EMPTY_BINDING
     if not pattern.elems:
         return Complete(seed)
     return (cursor or PrefixCursor()).read(pattern, history, since, kb, seed)
@@ -332,7 +333,7 @@ def occurrences(
     call sees each event once; used for breaking ("expected not to
     happen") sequences, where any single hit counts.
     """
-    base = dict(seed or {})
+    base = seed if seed is not None else EMPTY_BINDING
     for idx, event in history.since(since + 1, start):
         hit = first_hit(pattern, event, base, kb, history)
         if hit is not None:

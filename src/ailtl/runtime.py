@@ -4,7 +4,8 @@ Per incoming event: action events pass through the reflective gate first
 (blocked ones are logged but never recorded), and everything recorded
 lands in the history.  After all events of a tick are ingested, every
 live expression instance is stepped against the snapshot (an instance
-leaves the step loop the cycle it turns terminal); reactions and
+leaves the step loop the cycle it turns terminal, and keeps only its
+final status and checked ticks from then on); reactions and
 countermeasures are emitted as fresh events with the next tick's
 timestamp and fed back through the same gate, so an emission in cycle c
 is never visible to checks before cycle c+1.
@@ -63,7 +64,7 @@ class CycleMetrics:
         return self.retrieval_ns + self.if_eval_ns + self.max_eval_ns + self.if_viol_ns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateRecord:
     seq: int
     tick: int
@@ -71,7 +72,7 @@ class GateRecord:
     decision: GateDecision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionRecord:
     seq: int
     tick: int
@@ -81,7 +82,7 @@ class TransitionRecord:
     cause: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmissionRecord:
     seq: int
     tick: int
@@ -91,7 +92,7 @@ class EmissionRecord:
     payload: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WarnRecord:
     seq: int
     tick: int
@@ -108,8 +109,13 @@ class Report:
     emissions: List[EmissionRecord] = field(default_factory=list)
     warnings: List[WarnRecord] = field(default_factory=list)
     final_statuses: Dict[str, ExprStatus] = field(default_factory=dict)
-    eval_ticks: Dict[str, List[int]] = field(default_factory=dict)
+    tick_runs: Dict[str, Tuple[range, ...]] = field(default_factory=dict)
     metrics: List[CycleMetrics] = field(default_factory=list)
+
+    @property
+    def eval_ticks(self) -> Dict[str, List[int]]:
+        """The ticks each instance was checked at (``tick_runs`` expanded)."""
+        return {name: [tick for run in runs for tick in run] for name, runs in self.tick_runs.items()}
 
     @property
     def violations(self) -> int:
@@ -182,13 +188,25 @@ def summarize_metrics(metrics: List[CycleMetrics]) -> Dict[str, int]:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class _Instance:
+    """An instance of a named expression.
+
+    A terminal instance drops its runtime and keeps only what the final
+    report reads: its status and its checked ticks.
+    """
+
     name: str
     base: str
     expr: EvolutionaryExpr
-    runtime: ExprRuntime
+    runtime: Optional[ExprRuntime]
     is_rule: bool
+    status: Optional[ExprStatus] = None
+    tick_runs: Tuple[range, ...] = ()
+
+    def release(self) -> None:
+        runtime = self.runtime
+        self.status, self.tick_runs, self.runtime = runtime.status, runtime.tick_runs, None
 
 
 class Engine:
@@ -224,14 +242,19 @@ class Engine:
     # -- event loop ------------------------------------------------------
 
     def run(self, source: Iterable[Event]) -> Report:
+        """Run the source's events, in timestamp order, and close the run.
+
+        The source is read as an iterator, one event ahead of the cycle it
+        belongs to, so it is never copied.
+        """
         report = Report()
-        events = list(source)
+        events = iter(source)
+        pending = next(events, None)  # the next source event, read one ahead
         feedback: Dict[int, List[Event]] = {}
-        i = 0
         last_tick = 0
         post_source = 0
         while True:
-            trace_ts = events[i].timestamp if i < len(events) else None
+            trace_ts = pending.timestamp if pending is not None else None
             fb_ts = min(feedback) if feedback else None
             if trace_ts is None and fb_ts is None:
                 break
@@ -243,9 +266,9 @@ class Engine:
                     )
             tick = min(t for t in (trace_ts, fb_ts) if t is not None)
             batch: List[Event] = []
-            while i < len(events) and events[i].timestamp == tick:
-                batch.append(events[i])
-                i += 1
+            while pending is not None and pending.timestamp == tick:
+                batch.append(pending)
+                pending = next(events, None)
             batch.extend(feedback.pop(tick, ()))
             self._ingest(report, batch, tick)
             self._check(report, tick, feedback)
@@ -299,7 +322,9 @@ class Engine:
                 feedback.setdefault(tick + 1, []).append(Event(eff.kind, eff.payload, tick + 1))
             if not inst.runtime.terminal:
                 live.append(inst)
-            elif self.cfg.rearm and any(tr.new in (ExprStatus.VIOLATED, ExprStatus.BROKEN) for tr in out.transitions):
+                continue
+            inst.release()
+            if self.cfg.rearm and any(tr.new in (ExprStatus.VIOLATED, ExprStatus.BROKEN) for tr in out.transitions):
                 clone = self._respawn(inst, tick)
                 if clone is not None:
                     spawned.append(clone)
@@ -323,15 +348,17 @@ class Engine:
 
     def _finalize(self, report: Report, last_tick: int) -> None:
         for inst in self.instances:
-            status, transition = inst.runtime.final_report(last_tick)
-            if transition is not None:
-                report.transitions.append(
-                    TransitionRecord(
-                        self._next_seq(), last_tick, inst.name, transition.old, transition.new, transition.cause
+            if inst.runtime is not None:
+                status, transition = inst.runtime.final_report(last_tick)
+                if transition is not None:
+                    report.transitions.append(
+                        TransitionRecord(
+                            self._next_seq(), last_tick, inst.name, transition.old, transition.new, transition.cause
+                        )
                     )
-                )
-            report.final_statuses[inst.name] = status
-            report.eval_ticks[inst.name] = inst.runtime.eval_ticks
+                inst.release()
+            report.final_statuses[inst.name] = inst.status
+            report.tick_runs[inst.name] = inst.tick_runs
 
 
 def run(program: Program, source: Iterable[Event], config: Optional[EngineConfig] = None) -> Report:

@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple, Union
 
 from .events import EventKind, History
 from .kb import Conj, FactBase, UnboundBuiltinArg
-from .terms import Binding, Compound, Const, Term, Var, Wildcard, render_term, subst
+from .terms import EMPTY_BINDING, Binding, Compound, Const, Term, Var, Wildcard, render_term, subst
 
 
 class NonGroundAfterContext(Exception):
@@ -88,9 +88,10 @@ def eval_once(
     formula is then tested for a satisfying instance under that binding.
     Returns ``(satisfiable, binding)``, where the binding carries the
     witnessing instance when one exists.  When the context itself has no
-    solution the check is not applicable: ``(None, seed)``.
+    solution the check is not applicable: ``(None, seed)``.  The seed is
+    returned as it is, not copied: no binding is changed in place.
     """
-    base = dict(seed or {})
+    base = seed if seed is not None else EMPTY_BINDING
     if f.chi:
         ctx = next(kb.query(f.chi, seed=base, history=history), None)
         if ctx is None:
@@ -115,7 +116,7 @@ class CoreVerdict(Enum):
 TERMINAL_VERDICTS = (CoreVerdict.HOLDS_FINAL, CoreVerdict.VIOLATED_NOW)
 
 
-@dataclass
+@dataclass(slots=True)
 class CoreState:
     """Verdict machine for one enabled interval constraint."""
 

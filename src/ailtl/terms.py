@@ -25,6 +25,10 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 Binding = Dict[str, "Term"]
 
+# The binding that binds nothing, shared by every caller.  No binding is ever
+# changed in place (``match`` extends a copy), so sharing it is safe.
+EMPTY_BINDING: Binding = {}
+
 
 @dataclass(frozen=True)
 class Term:

@@ -9,11 +9,15 @@ log index sees exactly the ledger rows that entered at or after it.
 Work-count guards keep the per-event matching work and the profile rows
 read per event flat as the trace grows, and a matcher's live parses
 bounded by its pattern and the values in the trace, not by its length.
+A memory guard keeps the live memory a run leaves behind flat in the
+number of checks.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +29,7 @@ from ailtl.evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
 from ailtl.kb import FactBase, Literal
 from ailtl.patterns import PatternElem, PatternSeq, Quant
 from ailtl.runtime import run
-from ailtl.scenarios import queue_scenario
+from ailtl.scenarios import bench_scenario, queue_scenario
 from ailtl.temporal import ContextualFormula, IntervalOp, ReactionAtom, TemporalOp
 from ailtl.terms import Const, Var, Wildcard, atom, variables
 
@@ -268,6 +272,30 @@ def test_the_gated_queue_evaluates_its_formula_in_full_once(monkeypatch):
     report = run(parse_program(program_text), parse_trace(trace_text))
     assert calls == 1
     assert report.violations == 0 and len(report.eval_ticks["e1"]) > 400
+
+
+def _live_bytes_after_run(exprs, ticks):
+    """Live traced bytes the run allocated and its report still holds, after ``gc.collect()``."""
+    program_text, trace_text = bench_scenario(exprs, ticks)
+    program, events = parse_program(program_text), parse_trace(trace_text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run(program, events)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, report
+    finally:
+        tracemalloc.stop()
+
+
+def test_live_memory_does_not_grow_per_check():
+    # live bytes, not the peak: the peak also counts the allocator's free lists
+    short, _ = _live_bytes_after_run(100, 200)
+    long, report = _live_bytes_after_run(100, 800)
+    assert sum(len(ticks) for ticks in report.eval_ticks.values()) == 100 * 800
+    per_check = (long - short) / (100 * (800 - 200))
+    assert per_check < 1.0, f"{per_check:.2f} live bytes per check ({short} B at 200 ticks, {long} B at 800)"
 
 
 def test_the_injected_queue_violates_at_each_duplicate_push():
