@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .events import EventKind, History
 from .kb import Comparison, Delta, EventRef, FactBase, UnboundBuiltinArg
@@ -150,6 +150,82 @@ _CAUSE = {
 }
 
 
+class TickRuns:
+    """Increasing ticks, kept as runs of one gap.
+
+    The open run is (start, last, gap): a tick one ``gap`` after ``last``
+    extends it with one compare and one store.  A tick at any other gap
+    closes the run, which is kept as its gap and its length in gaps (two
+    varints in a byte string), and opens the next run at ``last``.  So a
+    steady stride costs nothing per tick, and an irregular one a byte or
+    two per change of gap.  ``runs`` gives the ticks back as disjoint
+    ranges, one per run.
+    """
+
+    __slots__ = ("_first", "_closed", "_start", "_last", "_gap")
+
+    def __init__(self) -> None:
+        self._first: Optional[int] = None
+        self._closed: Optional[bytearray] = None
+        self._start = self._last = 0
+        self._gap: Optional[int] = None  # None until the second tick
+
+    def add(self, tick: int) -> None:
+        """Record ``tick``, which is above every tick recorded before."""
+        if tick - self._last == self._gap:
+            self._last = tick
+        else:
+            self._turn(tick)
+
+    def _turn(self, tick: int) -> None:
+        if self._gap is not None:
+            if self._closed is None:
+                self._closed = bytearray()
+            _put_varint(self._closed, self._gap)
+            _put_varint(self._closed, (self._last - self._start) // self._gap)
+            self._start = self._last
+        elif self._first is None:
+            self._first = self._start = self._last = tick
+            return
+        self._gap = tick - self._last
+        self._last = tick
+
+    def runs(self) -> Tuple[range, ...]:
+        """The ticks as ascending ranges; each after the first leaves out the tick it starts from."""
+        if self._first is None:
+            return ()
+        out = []
+        base, skip = self._first, 0
+        values = _varints(self._closed or b"")
+        for gap, count in zip(values, values):
+            out.append(range(base + skip * gap, base + gap * count + 1, gap))
+            base, skip = base + gap * count, 1
+        gap = self._gap or 1
+        out.append(range(base + skip * gap, self._last + 1, gap))
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TickRuns) and self.runs() == other.runs()
+
+
+def _put_varint(buf: bytearray, n: int) -> None:
+    """Append ``n >= 0``, seven bits a byte, low bits first; a set top bit means more follow."""
+    while n >= 0x80:
+        buf.append(n & 0x7F | 0x80)
+        n >>= 7
+    buf.append(n)
+
+
+def _varints(buf: bytes) -> Iterator[int]:
+    n = shift = 0
+    for byte in buf:
+        n |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            yield n
+            n = shift = 0
+
+
 @dataclass(slots=True)
 class _Check:
     """The inputs and the result of an evaluated check; a delta test moves ``log_length``."""
@@ -178,8 +254,8 @@ class ExprRuntime:
     binding the scan has run under.  The inputs and result of the last
     evaluated check are kept too, until the instance ends: a due check
     whose inputs have not moved reuses that result (see ``_evaluate``).
-    The ticks of the checks are kept as runs of one stride
-    (``record_tick``), so a check at the usual stride stores one int.
+    The ticks of the checks are kept as runs of one gap (``TickRuns``),
+    so a check at the stride of the check before allocates nothing.
     """
 
     __slots__ = (
@@ -195,10 +271,7 @@ class ExprRuntime:
         "_breaking_at",
         "_breaking_past",
         "_last",
-        "_tick_runs",
-        "_tick_start",
-        "_tick_last",
-        "_tick_stride",
+        "ticks",
     )
 
     def __init__(self, expr: EvolutionaryExpr, scan_since: int = -1) -> None:
@@ -215,12 +288,7 @@ class ExprRuntime:
         # (binding, log length read under it) of each binding replaced so far
         self._breaking_past: Tuple[Tuple[Binding, int], ...] = ()
         self._last: Optional[_Check] = None
-        # the checked ticks: closed runs, then the open run (start, last,
-        # stride); a stride of None means the open run has one tick or none
-        self._tick_runs: List[range] = []
-        self._tick_start: Optional[int] = None
-        self._tick_last = 0
-        self._tick_stride: Optional[int] = None
+        self.ticks = TickRuns()  # the ticks this instance was checked at
 
     # -- helpers --------------------------------------------------------
 
@@ -228,32 +296,10 @@ class ExprRuntime:
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATUSES
 
-    def record_tick(self, now: int) -> None:
-        """Record a check at ``now``, a tick above every one recorded before."""
-        if now - self._tick_last == self._tick_stride:
-            self._tick_last = now
-            return
-        if self._tick_start is not None:
-            if self._tick_stride is None:
-                # the open run's second tick sets its stride
-                self._tick_stride = now - self._tick_last
-                self._tick_last = now
-                return
-            self._tick_runs.append(range(self._tick_start, self._tick_last + 1, self._tick_stride))
-        self._tick_start = self._tick_last = now
-        self._tick_stride = None
-
-    @property
-    def tick_runs(self) -> Tuple[range, ...]:
-        """The checked ticks as ascending runs, the open one last."""
-        if self._tick_start is None:
-            return ()
-        return (*self._tick_runs, range(self._tick_start, self._tick_last + 1, self._tick_stride or 1))
-
     @property
     def eval_ticks(self) -> List[int]:
-        """The checked ticks, in order (``tick_runs`` expanded)."""
-        return [tick for run in self.tick_runs for tick in run]
+        """The checked ticks, in order (``ticks`` expanded)."""
+        return [tick for run in self.ticks.runs() for tick in run]
 
     def _move(self, out: StepOutcome, new: ExprStatus, cause: Term) -> None:
         out.transitions.append(Transition(self.status, new, cause))
@@ -312,7 +358,7 @@ class ExprRuntime:
                 return NOT_DUE
             t0 = clock() if clock else 0
             holds, binding = self._evaluate(history, kb)
-            self.record_tick(now)
+            self.ticks.add(now)
             quiet = holds is None or holds is self.expr.quiet
             if quiet and not clock:
                 return CHECKED
@@ -438,7 +484,7 @@ class ExprRuntime:
             return
         holds, binding = self._evaluate(history, kb)
         out.evaluated = True
-        self.record_tick(now)
+        self.ticks.add(now)
         if holds is None:
             return  # context not applicable in this state
         self._settle(out, history, kb, step_core(self.core, self.expr.core.op, holds, now), binding, holds)

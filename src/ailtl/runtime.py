@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import profiles
 from .dsl import Program
 from .events import Event, EventKind, History
-from .evolutionary import CHECKED, NOT_DUE, EvolutionaryExpr, ExprRuntime, ExprStatus
+from .evolutionary import CHECKED, NOT_DUE, EvolutionaryExpr, ExprRuntime, ExprStatus, TickRuns
 from .kb import FactBase
 from .metagate import GateDecision, MetaRule, gate
 from .terms import Term, render_term
@@ -109,12 +109,17 @@ class Report:
     emissions: List[EmissionRecord] = field(default_factory=list)
     warnings: List[WarnRecord] = field(default_factory=list)
     final_statuses: Dict[str, ExprStatus] = field(default_factory=dict)
-    tick_runs: Dict[str, Tuple[range, ...]] = field(default_factory=dict)
+    ticks: Dict[str, TickRuns] = field(default_factory=dict)  # the ticks each instance was checked at
     metrics: List[CycleMetrics] = field(default_factory=list)
 
     @property
+    def tick_runs(self) -> Dict[str, Tuple[range, ...]]:
+        """Each instance's checked ticks as ascending ranges, one per run of one gap."""
+        return {name: ticks.runs() for name, ticks in self.ticks.items()}
+
+    @property
     def eval_ticks(self) -> Dict[str, List[int]]:
-        """The ticks each instance was checked at (``tick_runs`` expanded)."""
+        """Each instance's checked ticks as a list (``tick_runs`` expanded)."""
         return {name: [tick for run in runs for tick in run] for name, runs in self.tick_runs.items()}
 
     @property
@@ -202,11 +207,11 @@ class _Instance:
     runtime: Optional[ExprRuntime]
     is_rule: bool
     status: Optional[ExprStatus] = None
-    tick_runs: Tuple[range, ...] = ()
+    ticks: Optional[TickRuns] = None
 
     def release(self) -> None:
         runtime = self.runtime
-        self.status, self.tick_runs, self.runtime = runtime.status, runtime.tick_runs, None
+        self.status, self.ticks, self.runtime = runtime.status, runtime.ticks, None
 
 
 class Engine:
@@ -358,7 +363,7 @@ class Engine:
                     )
                 inst.release()
             report.final_statuses[inst.name] = inst.status
-            report.tick_runs[inst.name] = inst.tick_runs
+            report.ticks[inst.name] = inst.ticks
 
 
 def run(program: Program, source: Iterable[Event], config: Optional[EngineConfig] = None) -> Report:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,10 +275,14 @@ def test_the_gated_queue_evaluates_its_formula_in_full_once(monkeypatch):
     assert report.violations == 0 and len(report.eval_ticks["e1"]) > 400
 
 
-def _live_bytes_after_run(exprs, ticks):
-    """Live traced bytes the run allocated and its report still holds, after ``gc.collect()``."""
-    program_text, trace_text = bench_scenario(exprs, ticks)
-    program, events = parse_program(program_text), parse_trace(trace_text)
+def _live_bytes_after_run(gaps, checks):
+    """Live traced bytes that a run of ``bench_scenario(100, ...)``'s program leaves, after ``gc.collect()``.
+
+    The trace has one event per tick; the ticks advance by ``gaps`` in turn.
+    """
+    program = parse_program(bench_scenario(100, 1)[0])
+    ticks = accumulate(gaps[i % len(gaps)] for i in range(checks))
+    events = parse_trace("\n".join(f"{t} N tickmark({t})" for t in ticks))
     gc.collect()
     tracemalloc.start()
     try:
@@ -289,13 +294,20 @@ def _live_bytes_after_run(exprs, ticks):
         tracemalloc.stop()
 
 
-def test_live_memory_does_not_grow_per_check():
+@pytest.mark.parametrize(
+    "gaps, bound",
+    [
+        ((1,), 1.0),  # bench_scenario(100, T): every check at the same stride
+        ((1, 2), 3.0),  # the gap changes at every check, the worst case for tick runs
+    ],
+)
+def test_live_memory_per_check_stays_flat(gaps, bound):
     # live bytes, not the peak: the peak also counts the allocator's free lists
-    short, _ = _live_bytes_after_run(100, 200)
-    long, report = _live_bytes_after_run(100, 800)
+    short, _ = _live_bytes_after_run(gaps, 200)
+    long, report = _live_bytes_after_run(gaps, 800)
     assert sum(len(ticks) for ticks in report.eval_ticks.values()) == 100 * 800
     per_check = (long - short) / (100 * (800 - 200))
-    assert per_check < 1.0, f"{per_check:.2f} live bytes per check ({short} B at 200 ticks, {long} B at 800)"
+    assert per_check < bound, f"{per_check:.2f} live bytes per check ({short} B at 200 ticks, {long} B at 800)"
 
 
 def test_the_injected_queue_violates_at_each_duplicate_push():

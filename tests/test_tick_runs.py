@@ -1,9 +1,9 @@
 """Checked ticks kept as runs: what an instance records per check.
 
-An instance records the ticks it was checked at as arithmetic runs, so a
+An instance records the ticks it was checked at as runs of one gap, so a
 check adds nothing while the stride between checks stays the same.  The
 recorder must expand to exactly the ticks it was fed, and start a new
-run only where the stride changes.  Through the engine, the expanded
+run only where the gap changes.  Through the engine, the expanded
 ticks are the due ticks that had a cycle, and a terminal instance keeps
 its final status and its ticks after it gives up its runtime.
 """
@@ -14,24 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ailtl.dsl import parse_program, parse_trace
-from ailtl.evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
+from ailtl.evolutionary import ExprStatus, TickRuns
 from ailtl.runtime import Engine, run
-from ailtl.temporal import ContextualFormula, IntervalOp, TemporalOp
 
 
-def _recorder() -> ExprRuntime:
-    return ExprRuntime(EvolutionaryExpr(core=ContextualFormula(IntervalOp(TemporalOp.NEVER), ())))
-
-
-def _stride_changes(ticks):
-    """Plain count: a run's second tick sets its stride; another gap starts a new run there."""
-    changes, stride = 0, None
-    for prev, now in zip(ticks, ticks[1:]):
-        if stride is None:
-            stride = now - prev
-        elif now - prev != stride:
-            changes, stride = changes + 1, None
-    return changes
+def _gap_changes(ticks):
+    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+    return sum(1 for a, b in zip(gaps, gaps[1:]) if a != b)
 
 
 # increasing tick sequences: segments of one stride each, apart by random gaps
@@ -42,13 +31,10 @@ _segments = st.lists(
 
 
 def _ticks(start, segments):
-    ticks, at = [], start
+    ticks = []
     for stride, count, gap in segments:
-        at = at + gap if ticks else at
-        for _ in range(count):
-            ticks.append(at)
-            at += stride
-        at -= stride
+        first = ticks[-1] + gap if ticks else start
+        ticks.extend(range(first, first + stride * count, stride))
     return ticks
 
 
@@ -56,20 +42,25 @@ def _ticks(start, segments):
 @given(st.integers(0, 50), _segments)
 def test_tick_runs_expand_to_the_ticks_fed(start, segments):
     ticks = _ticks(start, segments)
-    rt = _recorder()
+    recorder = TickRuns()
     for tick in ticks:
-        rt.record_tick(tick)
-    assert rt.eval_ticks == ticks
-    assert all(isinstance(r, range) and r.step >= 1 for r in rt.tick_runs)
-    assert len(rt.tick_runs) == (_stride_changes(ticks) + 1 if ticks else 0)
+        recorder.add(tick)
+    runs = recorder.runs()
+    assert [tick for run in runs for tick in run] == ticks
+    assert all(len(run) >= 1 for run in runs)
+    assert len(runs) == (_gap_changes(ticks) + 1 if ticks else 0)
 
 
-def test_a_steady_stride_keeps_one_run():
-    rt = _recorder()
+def test_a_steady_stride_keeps_one_run_and_large_gaps_survive():
+    recorder = TickRuns()
     for tick in range(0, 3000, 3):
-        rt.record_tick(tick)
-    assert rt.tick_runs == (range(0, 2998, 3),)
-    assert rt.eval_ticks == list(range(0, 3000, 3))
+        recorder.add(tick)
+    assert recorder.runs() == (range(0, 2998, 3),)
+    far = [5, 5 + 2**70, 5 + 2**71, 7 + 2**71]  # gaps that take several bytes each
+    recorder = TickRuns()
+    for tick in far:
+        recorder.add(tick)
+    assert [tick for run in recorder.runs() for tick in run] == far
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -96,11 +87,11 @@ def test_terminal_clones_keep_their_status_and_ticks_after_release():
         # after the cycle of tick 5, where e1 was violated and re-armed
         for event in events:
             if event.timestamp == 9:
-                seen.update((i.name, (i.runtime is None, i.status, i.tick_runs)) for i in engine.instances)
+                seen.update((i.name, (i.runtime is None, i.status, i.ticks and i.ticks.runs())) for i in engine.instances)
             yield event
 
     report = engine.run(source())
-    assert seen == {"e1": (True, ExprStatus.VIOLATED, (range(1, 6, 2),)), "e1#2": (False, None, ())}
+    assert seen == {"e1": (True, ExprStatus.VIOLATED, (range(1, 6, 2),)), "e1#2": (False, None, None)}
     assert report.final_statuses == {
         "e1": ExprStatus.VIOLATED,
         "e1#2": ExprStatus.VIOLATED,
@@ -108,3 +99,4 @@ def test_terminal_clones_keep_their_status_and_ticks_after_release():
     }
     assert report.eval_ticks == {"e1": [1, 3, 5], "e1#2": [6, 10, 14], "e1#3": [15, 17]}
     assert report.tick_runs == {"e1": (range(1, 6, 2),), "e1#2": (range(6, 15, 4),), "e1#3": (range(15, 18, 2),)}
+    assert report == run(program, events)  # reports compare by their ticks, not by identity
