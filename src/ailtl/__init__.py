@@ -30,7 +30,6 @@ from .dsl import ParseError, Program, parse_program, parse_trace, render, render
 from .runtime import CapExceeded, CycleMetrics, Engine, EngineConfig, Report, run
 from .temporal import (
     ContextualFormula,
-    CoreState,
     CoreVerdict,
     IntervalOp,
     NonGroundAfterContext,

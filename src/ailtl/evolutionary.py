@@ -17,9 +17,11 @@ One runtime instance owns one status machine:
     armed   -> holding | violated | broken | fulfilled | disabled
     holding -> violated | broken | fulfilled
 
-Violated, broken, fulfilled and disabled are terminal for the instance;
-re-arming after a violation or breakage is the engine's job (it spawns a
-fresh instance scoped to later events).  A breaking event seen in the
+The status is the instance's one verdict: the verdict machine
+(``temporal.step_core``) stores nothing.  Violated, broken, fulfilled
+and disabled are terminal for the instance; re-arming after a violation
+or breakage is the engine's job (it spawns a fresh instance scoped to
+later events).  A breaking event seen in the
 same state as a falsifying check wins: the instance breaks, it is not
 violated.
 """
@@ -45,7 +47,6 @@ from .patterns import (
 )
 from .temporal import (
     ContextualFormula,
-    CoreState,
     CoreVerdict,
     Reaction,
     ReactionAtom,
@@ -119,17 +120,15 @@ class StepOutcome:
     effects: List[Effect] = field(default_factory=list)
     transitions: List[Transition] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
-    evaluated: bool = False
     # phase wall times, filled only when stepping with timed=True
     if_eval_ns: int = 0
     max_eval_ns: int = 0
     if_viol_ns: int = 0
 
 
-# The outcomes of a quiet step, shared by every instance: tuples, so nothing
-# can be appended to them.
-NOT_DUE = StepOutcome((), (), ())
-CHECKED = StepOutcome((), (), (), evaluated=True)
+# The outcome of a quiet step, shared by every instance: tuples, so nothing
+# can be appended to it.
+QUIET = StepOutcome((), (), ())
 
 # bound once: an enum member lookup is about ten times slower than a global
 _HOLDING = ExprStatus.HOLDING
@@ -264,7 +263,7 @@ class ExprRuntime:
         "status",
         "binding",
         "armed_at",
-        "core",
+        "lo",
         "_pre",
         "_future",
         "_breaking_seed",
@@ -280,7 +279,7 @@ class ExprRuntime:
         self.status = ExprStatus.DORMANT
         self.binding: Binding = EMPTY_BINDING
         self.armed_at: Optional[int] = None
-        self.core: Optional[CoreState] = None
+        self.lo: Optional[int] = None  # the interval's lower bound, set on arming; the upper is ``op.n``
         self._pre: Optional[PrefixCursor] = PrefixCursor() if expr.pre else None
         self._future: Optional[PrefixCursor] = PrefixCursor() if expr.future else None
         self._breaking_seed = self.binding
@@ -343,28 +342,28 @@ class ExprRuntime:
         """One engine cycle: arm, police sequences, check the formula when due.
 
         Most steps are quiet (``_quiet``): a holding instance with nothing
-        to watch, inside its interval.  Such a step is the due test and
-        the check alone.  A check whose result leaves the verdict as it is
-        (``EvolutionaryExpr.quiet``, or a context with no solution) makes
-        the step return the shared ``NOT_DUE`` or ``CHECKED`` outcome,
-        which the engine recognises by identity; with ``timed`` it returns
-        an outcome of its own that carries ``max_eval_ns``.  Any other
-        result goes through ``step_core`` and ``_settle``, which alone
-        move a status.
+        to watch, before its upper bound.  Such a step is the due test and
+        the check alone.  A step that is not due, or whose check leaves
+        the verdict as it is (``EvolutionaryExpr.quiet``, or a context with
+        no solution), returns the shared ``QUIET`` outcome, which the
+        engine recognises by identity; a timed check returns an outcome of
+        its own that carries ``max_eval_ns``.  Any other result goes
+        through the pure verdict machine (``step_core``) and ``_settle``,
+        which alone moves the status, the instance's one verdict.
         """
         clock = time.perf_counter_ns if timed else None
         if self._quiet(now):
-            if not due(self.expr.core.op, self.core.lo, now, default_k):
-                return NOT_DUE
+            if not due(self.expr.core.op, self.lo, now, default_k):
+                return QUIET
             t0 = clock() if clock else 0
             holds, binding = self._evaluate(history, kb)
             self.ticks.add(now)
             quiet = holds is None or holds is self.expr.quiet
             if quiet and not clock:
-                return CHECKED
-            out = StepOutcome(evaluated=True)
+                return QUIET
+            out = StepOutcome()
             if not quiet:
-                self._settle(out, history, kb, step_core(self.core, self.expr.core.op, holds, now), binding, holds)
+                self._settle(out, history, kb, step_core(self.expr.core.op, holds, now), binding, holds)
             if clock:
                 out.max_eval_ns = clock() - t0
             return out
@@ -400,16 +399,16 @@ class ExprRuntime:
 
         Then no sequence needs policing, a check cannot close the
         interval, and only a result other than the quiet one moves the
-        verdict.  A holding instance's verdict is open (``HOLDS_SO_FAR``):
-        ``_settle`` moves the status whenever the verdict settles.
+        verdict.  A holding instance has been checked, so it is past its
+        lower bound, and its verdict is open: ``_settle`` moves the status
+        whenever the verdict settles.
         """
-        core = self.core
+        hi = self.expr.core.op.n
         return (
             self.status is _HOLDING
             and self._future is None
             and not self.expr.breaking.elems
-            and core.lo <= now
-            and (core.hi is None or now < core.hi)
+            and (hi is None or now < hi)
         )
 
     def _police_pre(self, out: StepOutcome, history: History, kb: FactBase, now: int) -> None:
@@ -423,7 +422,8 @@ class ExprRuntime:
         self.binding = result.binding
         if self.status is ExprStatus.DORMANT:
             self.armed_at = now
-            self.core = CoreState.enable(self.expr.core.op, now)
+            m = self.expr.core.op.m
+            self.lo = m if m is not None else now
             self._move(out, ExprStatus.ARMED, _CAUSE["precondition_prefix"])
 
     def _scan_breaking(self, out: StepOutcome, history: History, kb: FactBase) -> bool:
@@ -469,25 +469,21 @@ class ExprRuntime:
             out.warnings.append(f"expected-future sequence mismatched at relevant event {result.at}")
 
     def _check_core(self, out: StepOutcome, history: History, kb: FactBase, now: int, default_k: int) -> None:
-        assert self.core is not None and self.armed_at is not None
-        if self.core.terminal:
-            return
-        if now < self.core.lo:
+        op = self.expr.core.op
+        if now < self.lo:
             return
         # frequency is anchored at the interval start (the arming state when
         # no lower bound was given), keeping checks clock-aligned
-        if not due(self.expr.core.op, self.core.lo, now, default_k):
+        if not due(op, self.lo, now, default_k):
             return
-        if self.core.hi is not None and now > self.core.hi:
-            verdict = close_core(self.core, self.expr.core.op)
-            self._settle(out, history, kb, verdict, self.binding, holds=None)
+        if op.n is not None and now > op.n:
+            self._settle(out, history, kb, close_core(op), self.binding, holds=None)
             return
         holds, binding = self._evaluate(history, kb)
-        out.evaluated = True
         self.ticks.add(now)
         if holds is None:
             return  # context not applicable in this state
-        self._settle(out, history, kb, step_core(self.core, self.expr.core.op, holds, now), binding, holds)
+        self._settle(out, history, kb, step_core(op, holds, now), binding, holds)
 
     def _evaluate(self, history: History, kb: FactBase) -> Tuple[Optional[bool], Binding]:
         """``eval_once``, or the previous check's result when it still stands.
@@ -536,18 +532,17 @@ class ExprRuntime:
         binding: Binding,
         holds: Optional[bool],
     ) -> None:
+        # no check decided it: the interval closed, on a quiet check or unchecked
+        closed = holds is None or holds is self.expr.quiet
         if verdict is CoreVerdict.VIOLATED_NOW:
-            cause = self._violation_cause(bool(holds), binding, kb, history)
+            cause = _CAUSE["no_witness"] if closed else self._violation_cause(holds, binding, kb, history)
             self._move(out, ExprStatus.VIOLATED, cause)
             if self.expr.repair:
                 self._fire(out, "repair", self.expr.repair, kb, history, binding)
             if self.expr.eta1 is not None:
                 self._fire(out, "eta1", (self.expr.eta1,), kb, history, binding)
         elif verdict is CoreVerdict.HOLDS_FINAL:
-            # a check that differs from the quiet result decided it: an
-            # EVENTUALLY saw its witness; a quiet one closed the interval
-            witness = holds is not None and holds is not self.expr.quiet
-            self._move(out, ExprStatus.FULFILLED, _CAUSE["witness" if witness else "interval_closed"])
+            self._move(out, ExprStatus.FULFILLED, _CAUSE["interval_closed" if closed else "witness"])
         elif verdict is CoreVerdict.HOLDS_SO_FAR and self.status is ExprStatus.ARMED:
             self._move(out, ExprStatus.HOLDING, _CAUSE["first_check"])
 
@@ -561,10 +556,9 @@ class ExprRuntime:
         """
         if self.terminal or self.status is ExprStatus.DORMANT:
             return self.status, None
-        assert self.core is not None
-        if self.core.hi is not None and end >= self.core.hi:
-            verdict = close_core(self.core, self.expr.core.op)
-            new = ExprStatus.FULFILLED if verdict is CoreVerdict.HOLDS_FINAL else ExprStatus.VIOLATED
+        op = self.expr.core.op
+        if op.n is not None and end >= op.n:
+            new = ExprStatus.FULFILLED if close_core(op) is CoreVerdict.HOLDS_FINAL else ExprStatus.VIOLATED
             cause = _CAUSE["interval_closed" if new is ExprStatus.FULFILLED else "no_witness"]
         else:
             new = ExprStatus.FULFILLED_SO_FAR

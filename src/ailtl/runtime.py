@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import profiles
 from .dsl import Program
 from .events import Event, EventKind, History
-from .evolutionary import CHECKED, NOT_DUE, EvolutionaryExpr, ExprRuntime, ExprStatus, TickRuns
+from .evolutionary import QUIET, EvolutionaryExpr, ExprRuntime, ExprStatus, TickRuns
 from .kb import FactBase
 from .metagate import GateDecision, MetaRule, gate
 from .terms import Term, render_term
@@ -43,7 +43,6 @@ class CapExceeded(EngineError):
 
 @dataclass
 class EngineConfig:
-    default_frequency: int = 1
     metrics: bool = False
     emission_cap: int = 1000
     max_feedback_ticks: int = 10000
@@ -217,7 +216,6 @@ class _Instance:
 class Engine:
     def __init__(self, program: Program, config: Optional[EngineConfig] = None) -> None:
         self.cfg = config or EngineConfig()
-        self.program = program
         self.kb = FactBase()
         profile = program.config.get("derived")
         if profile is not None:
@@ -226,8 +224,7 @@ class Engine:
             self.kb.assert_fact(f)
         for name, table in program.costs.items():
             self.kb.register_cost(name, table)
-        frequency = program.config.get("frequency", self.cfg.default_frequency)
-        self.default_k = int(frequency)
+        self.default_k = int(program.config.get("frequency", 1))
         self.history = History()
         self.metarules: List[MetaRule] = list(program.metarules)
         self.instances: List[_Instance] = []  # every instance, in creation order
@@ -304,7 +301,7 @@ class Engine:
         history, kb, default_k = self.history, self.kb, self.default_k
         for inst in snapshot:
             out = inst.runtime.step(history, kb, tick, default_k, timed)
-            if out is CHECKED or out is NOT_DUE:
+            if out is QUIET:
                 live.append(inst)  # a quiet step: nothing to record, still live
                 continue
             if_eval += out.if_eval_ns

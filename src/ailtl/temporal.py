@@ -1,4 +1,4 @@
-"""Interval temporal operators over the timed state sequence.
+"""Interval temporal operators over the states the engine checks.
 
 Three operators, all interpreted over states with inclusive interval
 bounds ``[m, n]``:
@@ -110,28 +110,6 @@ class CoreVerdict(Enum):
     HOLDS_SO_FAR = "holds_so_far"
     HOLDS_FINAL = "holds_final"
     VIOLATED_NOW = "violated_now"
-    VACUOUS = "vacuous"
-
-
-TERMINAL_VERDICTS = (CoreVerdict.HOLDS_FINAL, CoreVerdict.VIOLATED_NOW)
-
-
-@dataclass(slots=True)
-class CoreState:
-    """Verdict machine for one enabled interval constraint."""
-
-    lo: int
-    hi: Optional[int]
-    verdict: CoreVerdict = CoreVerdict.HOLDS_SO_FAR
-
-    @classmethod
-    def enable(cls, op: IntervalOp, enabled_at: int) -> "CoreState":
-        lo = op.m if op.m is not None else enabled_at
-        return cls(lo=lo, hi=op.n)
-
-    @property
-    def terminal(self) -> bool:
-        return self.verdict in TERMINAL_VERDICTS
 
 
 def quiet_result(op: TemporalOp) -> bool:
@@ -143,37 +121,28 @@ def quiet_result(op: TemporalOp) -> bool:
     return op is TemporalOp.ALWAYS
 
 
-def step_core(state: CoreState, op: IntervalOp, holds_now: bool, now: int) -> CoreVerdict:
-    """Advance the verdict machine with one due check.
+def step_core(op: IntervalOp, holds_now: bool, now: int) -> CoreVerdict:
+    """The verdict after one due check at ``now``, inside the interval.
 
-    ``holds_now`` is the formula's satisfiability at this state.  A check
-    that differs from ``quiet_result`` decides the constraint: ALWAYS and
-    NEVER are violated, EVENTUALLY holds for good.  A quiet check at the
-    upper bound closes the interval (``close_core``).  Unbounded
-    constraints never settle on a quiet check.
+    The verdict machine stores nothing: the caller keeps the verdict, and
+    steps it only while it is open and only at ticks from the interval's
+    lower bound up to its upper bound ``op.n``.  ``holds_now`` is the
+    formula's satisfiability at this state.  A check that differs from
+    ``quiet_result`` decides the constraint: ALWAYS and NEVER are
+    violated, EVENTUALLY holds for good.  A quiet check at the upper
+    bound closes the interval (``close_core``).  Unbounded constraints
+    never settle on a quiet check.
     """
-    if state.terminal:
-        return state.verdict
-    if now < state.lo:
-        return CoreVerdict.VACUOUS
-    if state.hi is not None and now > state.hi:
-        return close_core(state, op)
     if bool(holds_now) is not quiet_result(op.op):
-        state.verdict = CoreVerdict.HOLDS_FINAL if op.op is TemporalOp.EVENTUALLY else CoreVerdict.VIOLATED_NOW
-    elif state.hi is not None and now >= state.hi:
-        close_core(state, op)
-    return state.verdict
+        return CoreVerdict.HOLDS_FINAL if op.op is TemporalOp.EVENTUALLY else CoreVerdict.VIOLATED_NOW
+    if op.n is not None and now >= op.n:
+        return close_core(op)
+    return CoreVerdict.HOLDS_SO_FAR
 
 
-def close_core(state: CoreState, op: IntervalOp) -> CoreVerdict:
-    """Settle a bounded constraint whose interval has elapsed unchecked."""
-    if state.terminal:
-        return state.verdict
-    if op.op is TemporalOp.EVENTUALLY:
-        state.verdict = CoreVerdict.VIOLATED_NOW
-    else:
-        state.verdict = CoreVerdict.HOLDS_FINAL
-    return state.verdict
+def close_core(op: IntervalOp) -> CoreVerdict:
+    """The verdict of an open bounded constraint whose interval has elapsed."""
+    return CoreVerdict.VIOLATED_NOW if op.op is TemporalOp.EVENTUALLY else CoreVerdict.HOLDS_FINAL
 
 
 # -- reactions ----------------------------------------------------------

@@ -25,12 +25,10 @@ from ailtl.runtime import EngineConfig, run, summarize_metrics
 from ailtl.scenarios import bench_scenario, gen_scenario
 from ailtl.temporal import (
     ContextualFormula,
-    CoreState,
     CoreVerdict,
     IntervalOp,
     ReactionAtom,
     TemporalOp,
-    close_core,
     step_core,
 )
 from ailtl.terms import Compound, Const, Var, atom
@@ -63,14 +61,12 @@ def test_criterion_1_operator_oracle_equivalence():
             for m in range(10):
                 for n in range(m, 10):
                     op = IntervalOp(kind, m, n, 1)
-                    state = CoreState.enable(op, 0)
-                    for t in range(m, 10):
-                        if state.terminal:
+                    # stepped from m while open; the step at n settles it
+                    for t in range(m, n + 1):
+                        verdict = step_core(op, seq[t], t)
+                        if verdict is not CoreVerdict.HOLDS_SO_FAR:
                             break
-                        step_core(state, op, seq[t], t)
-                    if not state.terminal:
-                        close_core(state, op)
-                    got = state.verdict is CoreVerdict.HOLDS_FINAL
+                    got = verdict is CoreVerdict.HOLDS_FINAL
                     expected = quantifier_verdict(kind.value, m, n, seq)
                     assert got == expected, (kind, m, n, bits)
                     cases += 1

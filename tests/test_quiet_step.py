@@ -1,13 +1,14 @@
 """The quiet step: a holding instance with nothing to watch, inside its interval.
 
-Such a step is the due test and the check alone.  When the check leaves
-the verdict as it is, the step returns one of two shared outcomes and
-the engine records nothing for it; any other result goes through the
-verdict machine like every other step.  These tests compare whole runs
-with the quiet step forced off, which must give the same report and the
-same check ticks; pin its boundaries (the upper bound, a deciding check,
-a context with no solution, a check that is not due); and check that
-the shared outcomes cannot be changed.  The verdict-machine call count
+Such a step is the due test and the check alone.  When it is not due,
+or its check leaves the verdict as it is, the step returns the shared
+``QUIET`` outcome and the engine records nothing for it; any other
+result goes through the verdict machine like every other step.  These
+tests compare whole runs with the quiet step forced off, which must give
+the same report and the same check ticks; pin its boundaries (the upper
+bound, a deciding check, a context with no solution, a check that is
+not due, told apart from a check by the check ticks); and check that
+the shared outcome cannot be changed.  The verdict-machine call count
 on static constraints is guarded in ``test_reuse``.
 """
 
@@ -19,7 +20,7 @@ import pytest
 
 from ailtl.dsl import parse_program, parse_trace
 from ailtl.events import Event, EventKind, History
-from ailtl.evolutionary import CHECKED, NOT_DUE, EvolutionaryExpr, ExprRuntime, ExprStatus
+from ailtl.evolutionary import QUIET, EvolutionaryExpr, ExprRuntime, ExprStatus
 from ailtl.kb import FactBase, Literal
 from ailtl.patterns import PatternElem, PatternSeq
 from ailtl.runtime import EngineConfig, run
@@ -46,7 +47,7 @@ def quiet_steps(monkeypatch):
         was_quiet = quiet(self, now)
         out = step(self, history, kb, now, default_k, timed)
         if was_quiet:
-            counts["shared" if out is CHECKED or out is NOT_DUE else "settled"] += 1
+            counts["shared" if out is QUIET else "settled"] += 1
         return out
 
     monkeypatch.setattr(ExprRuntime, "step", counted)
@@ -116,12 +117,16 @@ def _expr(op, m=None, n=None, k=None, chi=()):
 
 
 def _steps(rt, ticks, h, kb):
-    return [rt.step(h, kb, tick) for tick in ticks]
+    """Step at each tick: how each step ended, told apart by identity and by the check ticks.
 
-
-def _shared(outs):
-    """Which shared outcome each step returned, by identity; None for an outcome of its own."""
-    return [{id(NOT_DUE): "not_due", id(CHECKED): "checked"}.get(id(out)) for out in outs]
+    "not_due" and "checked" are the shared ``QUIET`` outcome without and
+    with a check at that tick; None is an outcome of the step's own.
+    """
+    ends = []
+    for tick in ticks:
+        out = rt.step(h, kb, tick)
+        ends.append(None if out is not QUIET else "checked" if rt.eval_ticks[-1:] == [tick] else "not_due")
+    return ends
 
 
 @pytest.mark.parametrize(
@@ -135,8 +140,7 @@ def _shared(outs):
 def test_a_check_at_the_upper_bound_settles(op, settled):
     rt = ExprRuntime(_expr(op, 1, 4))
     h, kb = History(), FactBase()
-    outs = _steps(rt, [1, 2, 3], h, kb)
-    assert rt.status is ExprStatus.HOLDING and _shared(outs) == [None, "checked", "checked"]
+    assert _steps(rt, [1, 2, 3], h, kb) == [None, "checked", "checked"] and rt.status is ExprStatus.HOLDING
     assert not rt._quiet(4)
     last = rt.step(h, kb, 4)
     assert [(t.old, t.new) for t in last.transitions] == [(ExprStatus.HOLDING, settled)]
@@ -150,7 +154,7 @@ def test_an_eventually_whose_check_comes_true_is_fulfilled():
     kb.assert_fact(Const("good"))
     assert rt._quiet(3)
     out = rt.step(h, kb, 3)
-    assert out is not CHECKED and [(t.old, t.new) for t in out.transitions] == [
+    assert out is not QUIET and [(t.old, t.new) for t in out.transitions] == [
         (ExprStatus.HOLDING, ExprStatus.FULFILLED)
     ]
     assert rt.terminal and rt.eval_ticks == [1, 2, 3]
@@ -172,7 +176,7 @@ def test_a_holding_instance_still_polices_its_expected_future():
     assert rt.status is ExprStatus.HOLDING and not rt._quiet(2)
     h.record(Event(EventKind.EXTERNAL, atom("pong", Const("a")), 2))
     assert rt.step(h, kb, 2).warnings == ["expected-future sequence mismatched at relevant event 0"]
-    assert rt._quiet(3) and rt.step(h, kb, 3) is CHECKED  # the cursor is gone with the mismatch
+    assert rt._quiet(3) and rt.step(h, kb, 3) is QUIET  # the cursor is gone with the mismatch
 
 
 @pytest.mark.parametrize("op", list(TemporalOp))
@@ -184,15 +188,14 @@ def test_a_context_with_no_solution_stays_quiet(op):
     rt.step(h, kb, 1)
     assert rt.status is ExprStatus.HOLDING
     kb.retract_fact(Compound("ctx", (Const("a"),)))
-    assert rt.step(h, kb, 2) is CHECKED
+    assert rt.step(h, kb, 2) is QUIET
     assert rt.status is ExprStatus.HOLDING and rt.eval_ticks == [1, 2]
 
 
 @pytest.mark.parametrize("op", list(TemporalOp))
 def test_a_check_that_is_not_due_adds_no_check_tick(op):
     rt = ExprRuntime(_expr(op, k=3))
-    outs = _steps(rt, range(1, 11), History(), FactBase())
-    assert _shared(outs) == [None] + ["not_due", "not_due", "checked"] * 3
+    assert _steps(rt, range(1, 11), History(), FactBase()) == [None] + ["not_due", "not_due", "checked"] * 3
     assert rt.eval_ticks == [1, 4, 7, 10]
 
 
@@ -201,17 +204,16 @@ def test_a_timed_quiet_check_carries_its_own_time():
     h, kb = History(), FactBase()
     rt.step(h, kb, 1, timed=True)
     out = rt.step(h, kb, 2, timed=True)
-    assert out is not CHECKED and out.evaluated and out.max_eval_ns > 0
+    assert out is not QUIET and rt.eval_ticks == [1, 2] and out.max_eval_ns > 0
     assert not (out.effects or out.transitions or out.warnings)
-    assert rt.step(h, kb, 3) is CHECKED
+    assert rt.step(h, kb, 3) is QUIET
 
 
-# -- shared outcomes ------------------------------------------------------------------
+# -- the shared outcome ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shared", [NOT_DUE, CHECKED], ids=["not_due", "checked"])
-def test_shared_outcomes_cannot_be_appended_to(shared):
-    for records in (shared.effects, shared.transitions, shared.warnings):
+def test_the_shared_outcome_cannot_be_appended_to():
+    for records in (QUIET.effects, QUIET.transitions, QUIET.warnings):
         with pytest.raises(AttributeError):
             records.append(None)
         assert records == ()

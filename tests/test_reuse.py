@@ -68,7 +68,8 @@ def _step_through(rt, timeline):
             h.record(Event(EventKind.PRESENT, atom(name, Const(tick)), tick))
         if change is not None:
             kb.assert_fact(change)
-        if rt.step(h, kb, tick).evaluated:
+        rt.step(h, kb, tick)
+        if rt.eval_ticks[-1:] == [tick]:
             evaluated.append(tick)
     return evaluated
 
@@ -131,7 +132,8 @@ def test_a_new_binding_is_evaluated_again(evaluations):
     for tick, option in ((1, "a"), (2, None), (3, "b"), (4, None)):
         if option is not None:
             h.record(Event(EventKind.ACTION, atom("go", Const(option)), tick))
-        assert rt.step(h, kb, tick).evaluated
+        rt.step(h, kb, tick)
+        assert rt.eval_ticks[-1] == tick
         bindings.append(dict(rt.binding))
     assert rt.status is ExprStatus.ARMED
     assert bindings == [{"X": Const("a")}, {"X": Const("a")}, {}, {}]

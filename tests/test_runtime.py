@@ -199,3 +199,21 @@ def test_an_always_that_holds_to_its_bound_closes_the_interval():
         "transition 0 e1 armed->holding cause=first_check",
         "transition 3 e1 holding->fulfilled cause=interval_closed",
     ]
+
+
+def test_an_eventually_whose_interval_closes_on_a_check_is_violated_for_no_witness():
+    trace = "\n".join(f"{t} N good(no)" for t in range(0, 6))
+    assert _transitions("expr:\nEVENTUALLY(0, 3) good_N(yes).\n", trace) == [
+        "transition 0 e1 dormant->armed cause=precondition_prefix",
+        "transition 0 e1 armed->holding cause=first_check",
+        "transition 3 e1 holding->violated cause=no_witness",
+    ]
+
+
+def test_an_eventually_whose_interval_closes_between_checks_is_violated_for_no_witness():
+    trace = "\n".join(f"{t} N good(no)" for t in range(0, 6))
+    assert _transitions("expr:\nEVENTUALLY(0, 3; 2) good_N(yes).\n", trace) == [
+        "transition 0 e1 dormant->armed cause=precondition_prefix",
+        "transition 0 e1 armed->holding cause=first_check",
+        "transition 4 e1 holding->violated cause=no_witness",
+    ]

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from ailtl.dsl import parse_program, parse_trace
 from ailtl.events import Event, EventKind, History
+from ailtl.evolutionary import ExprStatus
 from ailtl.kb import Comparison, EventRef, FactBase, Literal
 from ailtl.temporal import (
     Choice,
     ContextualFormula,
-    CoreState,
     CoreVerdict,
     IntervalOp,
     ReactionAtom,
@@ -20,6 +23,7 @@ from ailtl.temporal import (
     fire_reaction,
     step_core,
 )
+from ailtl.runtime import EngineConfig, run
 from ailtl.terms import Compound, Const, Var, atom
 
 from oracles import quantifier_verdict
@@ -121,16 +125,18 @@ def test_eval_once_unsatisfiable_context_is_not_applicable():
 
 
 def run_machine(kind, m, n, valuations):
-    """Drive the verdict machine over an explicit valuation sequence."""
+    """Drive the verdict machine over an explicit valuation sequence.
+
+    As the engine does: step it at each tick from the lower bound to the
+    upper one while the verdict is open, and close it when the
+    valuations end first.
+    """
     o = IntervalOp(kind, m, n, 1)
-    state = CoreState.enable(o, 0)
-    for now, holds in enumerate(valuations):
-        if state.terminal:
-            break
-        step_core(state, o, holds, now)
-    if not state.terminal:
-        close_core(state, o)
-    return state.verdict
+    for now in range(m, min(n + 1, len(valuations))):
+        verdict = step_core(o, valuations[now], now)
+        if verdict is not CoreVerdict.HOLDS_SO_FAR:
+            return verdict
+    return close_core(o)
 
 
 def test_always_holds_through_interval():
@@ -145,32 +151,38 @@ def test_eventually_with_single_witness():
 
 def test_unbounded_never_violates_on_counterexample():
     o = op(TemporalOp.NEVER)
-    state = CoreState.enable(o, 0)
     for now in range(7):
-        assert step_core(state, o, False, now) is CoreVerdict.HOLDS_SO_FAR
-    assert step_core(state, o, True, 7) is CoreVerdict.VIOLATED_NOW
+        assert step_core(o, False, now) is CoreVerdict.HOLDS_SO_FAR
+    assert step_core(o, True, 7) is CoreVerdict.VIOLATED_NOW
 
 
 def test_unbounded_forms_never_settle():
     o = op(TemporalOp.ALWAYS)
-    state = CoreState.enable(o, 0)
     for now in range(50):
-        assert step_core(state, o, True, now) is CoreVerdict.HOLDS_SO_FAR
+        assert step_core(o, True, now) is CoreVerdict.HOLDS_SO_FAR
 
 
-def test_before_interval_is_vacuous():
-    o = op(TemporalOp.ALWAYS, m=5, n=9)
-    state = CoreState.enable(o, 0)
-    assert step_core(state, o, False, 2) is CoreVerdict.VACUOUS
-    assert state.verdict is CoreVerdict.HOLDS_SO_FAR
+@pytest.mark.parametrize("kind", list(TemporalOp))
+def test_no_check_comes_before_the_lower_bound(kind):
+    # the engine, not the verdict machine, keeps a check from coming
+    # before m: OP(m, n) armed at tick 0 is first checked at m
+    rng = random.Random(kind.value)
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        n = rng.randint(m, 11)
+        vals = [rng.random() < 0.5 for _ in range(12)]
+        program = parse_program(f"expr:\n{kind.value}({m}, {n}) good_N(yes).\n")
+        trace = "\n".join(f"{t} N good({'yes' if vals[t] else 'no'})" for t in range(12))
+        report = run(program, parse_trace(trace), EngineConfig(rearm=False))
+        assert report.eval_ticks["e1"][0] == m, (m, n, vals)
+        expected = ExprStatus.FULFILLED if quantifier_verdict(kind.value, m, n, vals) else ExprStatus.VIOLATED
+        assert report.final_statuses["e1"] is expected, (m, n, vals)
 
 
 def test_degenerate_interval_checks_one_tick():
     o = op(TemporalOp.EVENTUALLY, m=3, n=3)
-    state = CoreState.enable(o, 0)
-    assert step_core(state, o, True, 3) is CoreVerdict.HOLDS_FINAL
-    state2 = CoreState.enable(o, 0)
-    assert step_core(state2, o, False, 3) is CoreVerdict.VIOLATED_NOW
+    assert step_core(o, True, 3) is CoreVerdict.HOLDS_FINAL
+    assert step_core(o, False, 3) is CoreVerdict.VIOLATED_NOW
 
 
 @pytest.mark.parametrize("kind", list(TemporalOp))
