@@ -212,8 +212,17 @@ def test_a_timed_quiet_check_carries_its_own_time():
 # -- the shared outcome ---------------------------------------------------------------
 
 
-def test_the_shared_outcome_cannot_be_appended_to():
-    for records in (QUIET.effects, QUIET.transitions, QUIET.warnings):
+@pytest.mark.parametrize("end", ["not_due", "checked"])
+def test_shared_outcomes_cannot_be_appended_to(end):
+    """A step that is not due and a check that changes nothing both return ``QUIET``."""
+    rt = ExprRuntime(_expr(TemporalOp.ALWAYS, k=2))
+    h, kb = History(), FactBase()
+    rt.step(h, kb, 1)
+    outs = {"not_due": rt.step(h, kb, 2), "checked": rt.step(h, kb, 3)}
+    assert rt.eval_ticks == [1, 3]
+    shared = outs[end]
+    assert shared is QUIET
+    for records in (shared.effects, shared.transitions, shared.warnings):
         with pytest.raises(AttributeError):
             records.append(None)
         assert records == ()
