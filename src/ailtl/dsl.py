@@ -549,6 +549,9 @@ def parse_program(text: str) -> Program:
     scale_name = program.config.get("tick", "minute")
     if scale_name not in TICK_SCALES:
         raise ParseError(1, 1, f"unknown tick scale {scale_name!r}")
+    frequency = program.config.get("frequency", 1)
+    if not isinstance(frequency, int) or frequency < 1:
+        raise ParseError(1, 1, f"frequency must be an integer of at least 1, found {frequency!r}")
     if parser.saw_clock_literal and scale_name != "minute":
         # clock literals were mapped with the default scale; redo with the real one
         reparse = _Parser(tokens, TICK_SCALES[scale_name])

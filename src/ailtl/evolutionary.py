@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from .events import EventKind, History
 from .kb import Comparison, Delta, EventRef, FactBase, UnboundBuiltinArg
@@ -59,6 +59,9 @@ from .temporal import (
     step_core,
 )
 from .terms import EMPTY_BINDING, Binding, Const, Term, subst
+
+if TYPE_CHECKING:
+    from .runtime import CycleMetrics
 
 
 class ExprStatus(Enum):
@@ -120,10 +123,6 @@ class StepOutcome:
     effects: List[Effect] = field(default_factory=list)
     transitions: List[Transition] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
-    # phase wall times, filled only when stepping with timed=True
-    if_eval_ns: int = 0
-    max_eval_ns: int = 0
-    if_viol_ns: int = 0
 
 
 # The outcome of a quiet step, shared by every instance: tuples, so nothing
@@ -337,7 +336,7 @@ class ExprRuntime:
     # -- stepping -------------------------------------------------------
 
     def step(
-        self, history: History, kb: FactBase, now: int, default_k: int = 1, timed: bool = False
+        self, history: History, kb: FactBase, now: int, default_k: int = 1, timed: Optional[CycleMetrics] = None
     ) -> StepOutcome:
         """One engine cycle: arm, police sequences, check the formula when due.
 
@@ -346,10 +345,13 @@ class ExprRuntime:
         the check alone.  A step that is not due, or whose check leaves
         the verdict as it is (``EvolutionaryExpr.quiet``, or a context with
         no solution), returns the shared ``QUIET`` outcome, which the
-        engine recognises by identity; a timed check returns an outcome of
-        its own that carries ``max_eval_ns``.  Any other result goes
-        through the pure verdict machine (``step_core``) and ``_settle``,
-        which alone moves the status, the instance's one verdict.
+        engine recognises by identity.  Any other result goes through the
+        pure verdict machine (``step_core``) and ``_settle``, which alone
+        moves the status, the instance's one verdict.
+
+        ``timed`` is the cycle's metrics record, or None: a timed step adds
+        its phase times to it (the check to ``max_eval_ns``, on the quiet
+        path too), so timing changes no outcome.
         """
         clock = time.perf_counter_ns if timed else None
         if self._quiet(now):
@@ -358,14 +360,12 @@ class ExprRuntime:
             t0 = clock() if clock else 0
             holds, binding = self._evaluate(history, kb)
             self.ticks.add(now)
-            quiet = holds is None or holds is self.expr.quiet
-            if quiet and not clock:
-                return QUIET
-            out = StepOutcome()
-            if not quiet:
+            out = QUIET
+            if holds is not None and holds is not self.expr.quiet:
+                out = StepOutcome()
                 self._settle(out, history, kb, step_core(self.expr.core.op, holds, now), binding, holds)
             if clock:
-                out.max_eval_ns = clock() - t0
+                timed.max_eval_ns += clock() - t0
             return out
 
         out = StepOutcome()
@@ -377,7 +377,7 @@ class ExprRuntime:
             self._police_pre(out, history, kb, now)
         t1 = clock() if clock else 0
         if clock:
-            out.if_eval_ns = t1 - t0
+            timed.if_eval_ns += t1 - t0
         if self.status not in (ExprStatus.ARMED, ExprStatus.HOLDING):
             return out
 
@@ -386,12 +386,12 @@ class ExprRuntime:
             self._police_future(out, history, kb)
         t2 = clock() if clock else 0
         if clock:
-            out.if_viol_ns = t2 - t1
+            timed.if_viol_ns += t2 - t1
         if broke:
             return out
         self._check_core(out, history, kb, now, default_k)
         if clock:
-            out.max_eval_ns = clock() - t2
+            timed.max_eval_ns += clock() - t2
         return out
 
     def _quiet(self, now: int) -> bool:
@@ -472,12 +472,13 @@ class ExprRuntime:
         op = self.expr.core.op
         if now < self.lo:
             return
+        # an elapsed interval closes on the first step past it, due or not
+        if op.n is not None and now > op.n:
+            self._settle(out, history, kb, close_core(op), self.binding, holds=None)
+            return
         # frequency is anchored at the interval start (the arming state when
         # no lower bound was given), keeping checks clock-aligned
         if not due(op, self.lo, now, default_k):
-            return
-        if op.n is not None and now > op.n:
-            self._settle(out, history, kb, close_core(op), self.binding, holds=None)
             return
         holds, binding = self._evaluate(history, kb)
         self.ticks.add(now)

@@ -1,21 +1,23 @@
 """The monitor engine: event loop, gating, due checks, feedback, reports.
 
-Per incoming event: action events pass through the reflective gate first
-(blocked ones are logged but never recorded), and everything recorded
-lands in the history.  After all events of a tick are ingested, every
-live expression instance is stepped against the snapshot (an instance
-leaves the step loop the cycle it turns terminal, and keeps only its
-final status and checked ticks from then on); reactions and
-countermeasures are emitted as fresh events with the next tick's
-timestamp and fed back through the same gate, so an emission in cycle c
-is never visible to checks before cycle c+1.
+The engine owns a run's state, the report included (``Engine.report``,
+built at construction).  Per incoming event: action events pass through
+the reflective gate first (blocked ones are logged but never recorded),
+and everything recorded lands in the history.  After all events of a
+tick are ingested, every live expression instance is stepped against the
+snapshot; reactions and countermeasures go into one feedback list as
+fresh events with the next tick's timestamp, and the next cycle takes
+the list whole through the same gate, so an emission in cycle c is never
+visible to checks before cycle c+1.
 
-A violated or broken instance is terminal; the engine re-arms a clone
-scoped to later events while the monitored interval is still live, which
-is what lets standing constraints (the temperature rule, the queue guard)
-fire repeatedly over a long run.  Reactive rules run on the same machinery
-as evolutionary expressions: an empty precondition, the reaction as the
-repair, no countermeasures.
+An instance is listed in the report when it is created.  The cycle it
+turns terminal, its status goes into the report and the engine drops it.
+A violated or broken instance re-arms a clone scoped to later events
+while the monitored interval is still live, which is what lets standing
+constraints (the temperature rule, the queue guard) fire repeatedly over
+a long run.  Reactive rules run on the same machinery as evolutionary
+expressions: an empty precondition, the reaction as the repair, no
+countermeasures.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ class CycleMetrics:
     tick: int
     f: int
     retrieval_ns: int
-    if_eval_ns: int
-    max_eval_ns: int
-    if_viol_ns: int
+    # phase wall times, which the cycle's steps add to
+    if_eval_ns: int = 0
+    max_eval_ns: int = 0
+    if_viol_ns: int = 0
 
     @property
     def total_ns(self) -> int:
@@ -194,23 +197,12 @@ def summarize_metrics(metrics: List[CycleMetrics]) -> Dict[str, int]:
 
 @dataclass(slots=True)
 class _Instance:
-    """An instance of a named expression.
-
-    A terminal instance drops its runtime and keeps only what the final
-    report reads: its status and its checked ticks.
-    """
+    """A live instance of a named expression; the engine drops it when it ends."""
 
     name: str
     base: str
-    expr: EvolutionaryExpr
-    runtime: Optional[ExprRuntime]
+    runtime: ExprRuntime
     is_rule: bool
-    status: Optional[ExprStatus] = None
-    ticks: Optional[TickRuns] = None
-
-    def release(self) -> None:
-        runtime = self.runtime
-        self.status, self.ticks, self.runtime = runtime.status, runtime.ticks, None
 
 
 class Engine:
@@ -227,19 +219,27 @@ class Engine:
         self.default_k = int(program.config.get("frequency", 1))
         self.history = History()
         self.metarules: List[MetaRule] = list(program.metarules)
-        self.instances: List[_Instance] = []  # every instance, in creation order
+        self.report = Report()
         self._clone_counts: Dict[str, int] = {}
+        self._feedback: List[Event] = []  # the emissions of the last cycle, all due at the next tick
+        self._live: List[_Instance] = []  # the non-terminal instances, in creation order
         for name, expr in program.evolutionary:
-            self.instances.append(_Instance(name, name, expr, ExprRuntime(expr), is_rule=False))
+            self._live.append(self._create(name, name, expr, is_rule=False))
         for name, rule in program.reactive:
             wrapped = EvolutionaryExpr(core=rule.monitor, repair=rule.reaction)
-            self.instances.append(_Instance(name, name, wrapped, ExprRuntime(wrapped), is_rule=True))
-        self._live: List[_Instance] = list(self.instances)  # the non-terminal ones, in creation order
+            self._live.append(self._create(name, name, wrapped, is_rule=True))
         self._seq_no = 0
 
     def _next_seq(self) -> int:
         self._seq_no += 1
         return self._seq_no
+
+    def _create(self, name: str, base: str, expr: EvolutionaryExpr, is_rule: bool, scan_since: int = -1) -> _Instance:
+        """A new instance, listed in the report in creation order."""
+        runtime = ExprRuntime(expr, scan_since)
+        self.report.final_statuses[name] = runtime.status
+        self.report.ticks[name] = runtime.ticks
+        return _Instance(name, base, runtime, is_rule)
 
     # -- event loop ------------------------------------------------------
 
@@ -247,39 +247,36 @@ class Engine:
         """Run the source's events, in timestamp order, and close the run.
 
         The source is read as an iterator, one event ahead of the cycle it
-        belongs to, so it is never copied.
+        belongs to, so it is never copied.  Emissions land at the tick
+        after the cycle that made them, so while any are pending the next
+        cycle is that tick.
         """
-        report = Report()
+        report = self.report
         events = iter(source)
         pending = next(events, None)  # the next source event, read one ahead
-        feedback: Dict[int, List[Event]] = {}
-        last_tick = 0
         post_source = 0
-        while True:
-            trace_ts = pending.timestamp if pending is not None else None
-            fb_ts = min(feedback) if feedback else None
-            if trace_ts is None and fb_ts is None:
-                break
-            if trace_ts is None:
+        while pending is not None or self._feedback:
+            if pending is None:
                 post_source += 1
                 if post_source > self.cfg.max_feedback_ticks:
                     raise CapExceeded(
                         f"feedback cascade exceeded {self.cfg.max_feedback_ticks} ticks past the source"
                     )
-            tick = min(t for t in (trace_ts, fb_ts) if t is not None)
+            tick = report.last_tick + 1 if self._feedback else pending.timestamp
             batch: List[Event] = []
             while pending is not None and pending.timestamp == tick:
                 batch.append(pending)
                 pending = next(events, None)
-            batch.extend(feedback.pop(tick, ()))
-            self._ingest(report, batch, tick)
-            self._check(report, tick, feedback)
-            last_tick = tick
-        report.last_tick = last_tick
-        self._finalize(report, last_tick)
+            batch += self._feedback
+            self._feedback = []
+            self._ingest(batch, tick)
+            self._check(tick)
+            report.last_tick = tick
+        self._finalize()
         return report
 
-    def _ingest(self, report: Report, batch: List[Event], tick: int) -> None:
+    def _ingest(self, batch: List[Event], tick: int) -> None:
+        report = self.report
         for e in batch:
             report.events_seen += 1
             if e.kind is EventKind.ACTION:
@@ -289,24 +286,21 @@ class Engine:
                     continue
             self.history.record(e)
 
-    def _check(self, report: Report, tick: int, feedback: Dict[int, List[Event]]) -> None:
-        timed = self.cfg.metrics
-        t0 = time.perf_counter_ns() if timed else 0
+    def _check(self, tick: int) -> None:
+        report = self.report
+        t0 = time.perf_counter_ns() if self.cfg.metrics else 0
         snapshot = self._live
         live: List[_Instance] = []
         spawned: List[_Instance] = []
-        t1 = time.perf_counter_ns() if timed else 0
+        cycle = CycleMetrics(tick, len(snapshot), time.perf_counter_ns() - t0) if self.cfg.metrics else None
         emitted = 0
-        if_eval = max_eval = if_viol = 0
         history, kb, default_k = self.history, self.kb, self.default_k
         for inst in snapshot:
-            out = inst.runtime.step(history, kb, tick, default_k, timed)
+            runtime = inst.runtime
+            out = runtime.step(history, kb, tick, default_k, cycle)
             if out is QUIET:
                 live.append(inst)  # a quiet step: nothing to record, still live
                 continue
-            if_eval += out.if_eval_ns
-            max_eval += out.max_eval_ns
-            if_viol += out.if_viol_ns
             for tr in out.transitions:
                 report.transitions.append(
                     TransitionRecord(self._next_seq(), tick, inst.name, tr.old, tr.new, tr.cause)
@@ -321,46 +315,42 @@ class Engine:
                 emitted += 1
                 if emitted > self.cfg.emission_cap:
                     raise CapExceeded(f"cycle {tick} emitted more than {self.cfg.emission_cap} actions")
-                feedback.setdefault(tick + 1, []).append(Event(eff.kind, eff.payload, tick + 1))
-            if not inst.runtime.terminal:
+                self._feedback.append(Event(eff.kind, eff.payload, tick + 1))
+            if not runtime.terminal:
                 live.append(inst)
                 continue
-            inst.release()
+            report.final_statuses[inst.name] = runtime.status
             if self.cfg.rearm and any(tr.new in (ExprStatus.VIOLATED, ExprStatus.BROKEN) for tr in out.transitions):
                 clone = self._respawn(inst, tick)
                 if clone is not None:
                     spawned.append(clone)
         # clones are younger than every instance stepped this cycle
         self._live = live + spawned
-        if timed:
-            report.metrics.append(
-                CycleMetrics(tick, len(snapshot), t1 - t0, if_eval, max_eval, if_viol)
-            )
+        if cycle is not None:
+            report.metrics.append(cycle)
 
     def _respawn(self, inst: _Instance, tick: int) -> Optional[_Instance]:
-        hi = inst.expr.core.op.n
+        expr = inst.runtime.expr
+        hi = expr.core.op.n
         if hi is not None and tick >= hi:
             return None  # the monitored interval is over; nothing left to guard
         count = self._clone_counts.get(inst.base, 1) + 1
         self._clone_counts[inst.base] = count
-        name = f"{inst.base}#{count}"
-        clone = _Instance(name, inst.base, inst.expr, ExprRuntime(inst.expr, scan_since=tick), inst.is_rule)
-        self.instances.append(clone)
-        return clone
+        return self._create(f"{inst.base}#{count}", inst.base, expr, inst.is_rule, scan_since=tick)
 
-    def _finalize(self, report: Report, last_tick: int) -> None:
-        for inst in self.instances:
-            if inst.runtime is not None:
-                status, transition = inst.runtime.final_report(last_tick)
-                if transition is not None:
-                    report.transitions.append(
-                        TransitionRecord(
-                            self._next_seq(), last_tick, inst.name, transition.old, transition.new, transition.cause
-                        )
-                    )
-                inst.release()
-            report.final_statuses[inst.name] = inst.status
-            report.ticks[inst.name] = inst.ticks
+    def _finalize(self) -> None:
+        """Close every live instance, and free each runtime once it is closed."""
+        report, live = self.report, self._live
+        end = report.last_tick
+        self._live = []
+        for i, inst in enumerate(live):
+            status, transition = inst.runtime.final_report(end)
+            if transition is not None:
+                report.transitions.append(
+                    TransitionRecord(self._next_seq(), end, inst.name, transition.old, transition.new, transition.cause)
+                )
+            report.final_statuses[inst.name] = status
+            live[i] = None  # the runtime is closed: free it before the next one
 
 
 def run(program: Program, source: Iterable[Event], config: Optional[EngineConfig] = None) -> Report:

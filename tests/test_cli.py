@@ -62,6 +62,16 @@ def test_check_rejects_inverted_interval(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_zero_frequency_exits_two_naming_it(tmp_path, capsys):
+    program, trace = tmp_path / "zero.ailtl", tmp_path / "zero.trace"
+    program.write_text("config:\nfrequency = 0.\nexpr:\nNEVER ghost.\n", encoding="utf-8")
+    trace.write_text("1 N tickmark(1)\n", encoding="utf-8")
+    for args in (["check", "--program", str(program)], ["run", "--program", str(program), "--trace", str(trace)]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "frequency" in err
+
+
 def test_missing_file_exits_two(tmp_path):
     assert main(["check", "--program", str(tmp_path / "missing.ailtl")]) == 2
 

@@ -59,6 +59,13 @@ def test_inverted_interval_is_a_parse_error():
     assert "bound" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["0", "often"])
+def test_a_frequency_below_one_is_a_parse_error(value):
+    with pytest.raises(ParseError) as err:
+        parse_program(f"config:\nfrequency = {value}.\nexpr:\nNEVER ghost.\n")
+    assert "frequency" in str(err.value)
+
+
 def test_parse_error_positions_point_at_the_offending_token():
     with pytest.raises(ParseError) as err:
         parse_program("facts:\nok(1)\nbad\n")

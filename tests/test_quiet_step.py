@@ -23,7 +23,7 @@ from ailtl.events import Event, EventKind, History
 from ailtl.evolutionary import QUIET, EvolutionaryExpr, ExprRuntime, ExprStatus
 from ailtl.kb import FactBase, Literal
 from ailtl.patterns import PatternElem, PatternSeq
-from ailtl.runtime import EngineConfig, run
+from ailtl.runtime import CycleMetrics, EngineConfig, run
 from ailtl.scenarios import gen_scenario
 from ailtl.temporal import ContextualFormula, IntervalOp, TemporalOp
 from ailtl.terms import Compound, Const, Var, atom
@@ -43,7 +43,7 @@ def quiet_steps(monkeypatch):
     counts = {"shared": 0, "settled": 0}
     step, quiet = ExprRuntime.step, ExprRuntime._quiet
 
-    def counted(self, history, kb, now, default_k=1, timed=False):
+    def counted(self, history, kb, now, default_k=1, timed=None):
         was_quiet = quiet(self, now)
         out = step(self, history, kb, now, default_k, timed)
         if was_quiet:
@@ -202,10 +202,11 @@ def test_a_check_that_is_not_due_adds_no_check_tick(op):
 def test_a_timed_quiet_check_carries_its_own_time():
     rt = ExprRuntime(_expr(TemporalOp.NEVER))
     h, kb = History(), FactBase()
-    rt.step(h, kb, 1, timed=True)
-    out = rt.step(h, kb, 2, timed=True)
-    assert out is not QUIET and rt.eval_ticks == [1, 2] and out.max_eval_ns > 0
-    assert not (out.effects or out.transitions or out.warnings)
+    rt.step(h, kb, 1, timed=CycleMetrics(1, 1, 0, 0, 0, 0))
+    cycle = CycleMetrics(2, 1, 0, 0, 0, 0)
+    assert rt.step(h, kb, 2, timed=cycle) is QUIET
+    assert rt.eval_ticks == [1, 2] and cycle.max_eval_ns > 0
+    assert cycle.if_eval_ns == cycle.if_viol_ns == 0  # the quiet path polices nothing
     assert rt.step(h, kb, 3) is QUIET
 
 

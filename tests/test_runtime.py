@@ -217,3 +217,30 @@ def test_an_eventually_whose_interval_closes_between_checks_is_violated_for_no_w
         "transition 0 e1 armed->holding cause=first_check",
         "transition 4 e1 holding->violated cause=no_witness",
     ]
+
+
+def _records(program_text, trace_text):
+    report = run(parse_program(program_text), parse_trace(trace_text))
+    return [line for line in report.render().splitlines() if line.startswith(("transition ", "emit "))]
+
+
+_SPARSE_TICKS = (0, 2, 5, 7, 9)  # past the bound, 5, 7 and 9 are not due at k=2
+
+
+def test_an_eventually_whose_interval_elapsed_closes_on_the_next_step_that_is_not_due():
+    trace = "\n".join(f"{t} N good(no)" for t in _SPARSE_TICKS)
+    assert _records("expr:\nEVENTUALLY(0, 3; 2) good_N(yes) DIV fix.\n", trace) == [
+        "transition 0 e1 dormant->armed cause=precondition_prefix",
+        "transition 0 e1 armed->holding cause=first_check",
+        "transition 5 e1 holding->violated cause=no_witness",
+        "emit 5 e1 repair A fix",
+    ]
+
+
+def test_an_always_whose_interval_elapsed_closes_on_the_next_step_that_is_not_due():
+    trace = "\n".join(f"{t} N good(yes)" for t in _SPARSE_TICKS)
+    assert _records("expr:\nALWAYS(0, 3; 2) good_N(yes).\n", trace) == [
+        "transition 0 e1 dormant->armed cause=precondition_prefix",
+        "transition 0 e1 armed->holding cause=first_check",
+        "transition 5 e1 holding->fulfilled cause=interval_closed",
+    ]

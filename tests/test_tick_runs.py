@@ -4,18 +4,20 @@ An instance records the ticks it was checked at as runs of one gap, so a
 check adds nothing while the stride between checks stays the same.  The
 recorder must expand to exactly the ticks it was fed, and start a new
 run only where the gap changes.  Through the engine, the expanded
-ticks are the due ticks that had a cycle, and a terminal instance keeps
-its final status and its ticks after it gives up its runtime.
+ticks are the due ticks that had a cycle, and the report keeps an ended
+instance's final status and ticks after the engine has dropped it.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ailtl.dsl import parse_program, parse_trace
 from ailtl.evolutionary import ExprStatus, TickRuns
-from ailtl.runtime import Engine, run
+from ailtl.runtime import Engine, _Instance, run
 
 
 def _gap_changes(ticks):
@@ -87,11 +89,18 @@ def test_terminal_clones_keep_their_status_and_ticks_after_release():
         # after the cycle of tick 5, where e1 was violated and re-armed
         for event in events:
             if event.timestamp == 9:
-                seen.update((i.name, (i.runtime is None, i.status, i.ticks and i.ticks.runs())) for i in engine.instances)
+                report = engine.report
+                seen.update(live=[i.name for i in engine._live], statuses=dict(report.final_statuses), runs=report.tick_runs)
             yield event
 
     report = engine.run(source())
-    assert seen == {"e1": (True, ExprStatus.VIOLATED, (range(1, 6, 2),)), "e1#2": (False, None, None)}
+    # the ended e1 is gone from the engine; the report keeps its status and
+    # ticks, and lists the live clone, not checked yet, with its status at creation
+    assert seen == {
+        "live": ["e1#2"],
+        "statuses": {"e1": ExprStatus.VIOLATED, "e1#2": ExprStatus.DORMANT},
+        "runs": {"e1": (range(1, 6, 2),), "e1#2": ()},
+    }
     assert report.final_statuses == {
         "e1": ExprStatus.VIOLATED,
         "e1#2": ExprStatus.VIOLATED,
@@ -100,3 +109,28 @@ def test_terminal_clones_keep_their_status_and_ticks_after_release():
     assert report.eval_ticks == {"e1": [1, 3, 5], "e1#2": [6, 10, 14], "e1#3": [15, 17]}
     assert report.tick_runs == {"e1": (range(1, 6, 2),), "e1#2": (range(6, 15, 4),), "e1#3": (range(15, 18, 2),)}
     assert report == run(program, events)  # reports compare by their ticks, not by identity
+
+
+def _instances_kept():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, _Instance))
+
+
+def test_the_engine_keeps_no_instance_that_ended():
+    # every high level violates the standing constraint and re-arms it
+    program = parse_program("expr:\nNEVER level_N(high).\n")
+    events = parse_trace("\n".join(f"{t} N level(high)" for t in range(1, 61)))
+    before = _instances_kept()
+    engine = Engine(program)
+    kept = []
+
+    def source():
+        for event in events:
+            if event.timestamp in (30, 60):
+                kept.append((_instances_kept() - before, len(engine._live)))
+            yield event
+
+    report = engine.run(source())
+    kept.append((_instances_kept() - before, len(engine._live)))
+    assert report.violations == 60 and len(report.final_statuses) == 61  # the last clone survives
+    assert kept == [(1, 1), (1, 1), (0, 0)]
