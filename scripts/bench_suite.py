@@ -10,7 +10,9 @@ median, the quartiles, the spread and each run's value in seed order.
 Each workload also keeps the ``attempted`` and ``failed`` operation
 counts summed over its runs, and how many runs reported a wrong result.
 The output carries the Python version, ``nproc``, the git revision and
-the seeds.
+the seeds.  A checkout with uncommitted changes to tracked files is
+named ``<rev>-dirty-<hash>``, with the first 12 hex digits of the SHA-256
+of ``git diff HEAD``, so that the revision names the exact tree.
 
 With ``--parent REV`` the same suite also runs on revision ``REV``,
 exported with ``git archive`` into a temporary directory, and is written
@@ -23,6 +25,7 @@ pair.  A run that exits with an error stops the suite.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -80,8 +83,9 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
 
     workloads = [w["name"] for w in SPEC["workloads"]]
-    dirty = git("status", "--porcelain", "--untracked-files=no")
-    revisions = {"head": git("rev-parse", "--short", "HEAD") + ("-dirty" if dirty else "")}
+    diff = subprocess.run(["git", "diff", "HEAD"], cwd=ROOT, capture_output=True, check=True).stdout
+    dirty = f"-dirty-{hashlib.sha256(diff).hexdigest()[:12]}" if diff else ""
+    revisions = {"head": git("rev-parse", "--short", "HEAD") + dirty}
     sides = {"head": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
         if args.parent:

@@ -2,6 +2,9 @@
 
 Exit codes: 0 when the run finished with no violations (or the check
 passed), 1 when violations were reported, 2 on usage or parse errors.
+A run that the engine stops (``CapExceeded``) still writes its report as
+it stood, ends it with an ``error <last_tick> <message>`` line, and
+exits with 2.
 """
 
 from __future__ import annotations
@@ -103,8 +106,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     program = parse_program(Path(args.program).read_text(encoding="utf-8"))
     events = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
     engine = Engine(program, EngineConfig(metrics=args.metrics))
-    report = engine.run(events)
+    error: Optional[EngineError] = None
+    try:
+        engine.run(events)
+    except EngineError as exc:
+        error = exc
+    report = engine.report
     text = report.render()
+    if error is not None:
+        text += f"error {report.last_tick} {error}\n"
     if args.metrics:
         total = summarize_metrics(report.metrics)
         text += f"{METRICS_CSV_HEADER}\n{_metrics_csv_row(total['f'], total)}\n"
@@ -112,6 +122,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         Path(args.report).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return 1 if report.violations > 0 else 0
 
 

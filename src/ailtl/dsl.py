@@ -220,6 +220,7 @@ class _Parser:
         self.i = 0
         self.clock_scale = clock_scale
         self.saw_clock_literal = False
+        self.config_at: Dict[str, Token] = {}  # the key token of the config entry that set each key
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -495,7 +496,8 @@ class _Parser:
         return name, opt_tok.value, int(cost_tok.value)
 
     def parse_kv(self) -> Tuple[str, Union[str, int]]:
-        key = self.expect("IDENT", "a config key").value
+        key_tok = self.expect("IDENT", "a config key")
+        key = key_tok.value
         eq = self.peek()
         if eq.typ != "CMP" or eq.value != "=":
             raise self.error(eq, "expected '='")
@@ -510,6 +512,7 @@ class _Parser:
         else:
             raise self.error(tok, "expected a config value")
         self.expect("DOT", "'.' after config entry")
+        self.config_at[key] = key_tok
         return key, value
 
     def parse_program(self) -> Program:
@@ -548,10 +551,12 @@ def parse_program(text: str) -> Program:
     program = parser.parse_program()
     scale_name = program.config.get("tick", "minute")
     if scale_name not in TICK_SCALES:
-        raise ParseError(1, 1, f"unknown tick scale {scale_name!r}")
+        at = parser.config_at["tick"]
+        raise ParseError(at.line, at.col, f"unknown tick scale {scale_name!r}")
     frequency = program.config.get("frequency", 1)
     if not isinstance(frequency, int) or frequency < 1:
-        raise ParseError(1, 1, f"frequency must be an integer of at least 1, found {frequency!r}")
+        at = parser.config_at["frequency"]
+        raise ParseError(at.line, at.col, f"frequency must be an integer of at least 1, found {frequency!r}")
     if parser.saw_clock_literal and scale_name != "minute":
         # clock literals were mapped with the default scale; redo with the real one
         reparse = _Parser(tokens, TICK_SCALES[scale_name])

@@ -175,6 +175,18 @@ class TickRuns:
         else:
             self._turn(tick)
 
+    def extend(self, ticks: range) -> None:
+        """Record each tick of ``ticks``, all above every tick recorded before, in O(1).
+
+        The state is the one that adding the ticks one by one leaves: the
+        second tick sets the run's gap to the range's step, and every tick
+        after it only moves ``last``.
+        """
+        for tick in ticks[:2]:
+            self.add(tick)
+        if len(ticks) > 2:
+            self._last = ticks[-1]
+
     def _turn(self, tick: int) -> None:
         if self._gap is not None:
             if self._closed is None:

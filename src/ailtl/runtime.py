@@ -12,6 +12,10 @@ visible to checks before cycle c+1.
 
 An instance is listed in the report when it is created.  The cycle it
 turns terminal, its status goes into the report and the engine drops it.
+A quiet instance whose check reads no log is parked: no cycle steps it
+until the fact base moves or its upper bound comes, and the ticks it was
+due at meanwhile are added to its report entry when it wakes or the run
+ends.
 A violated or broken instance re-arms a clone scoped to later events
 while the monitored interval is still live, which is what lets standing
 constraints (the temperature rule, the queue guard) fire repeatedly over
@@ -22,9 +26,12 @@ countermeasures.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import gcd
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import profiles
 from .dsl import Program
@@ -197,12 +204,40 @@ def summarize_metrics(metrics: List[CycleMetrics]) -> Dict[str, int]:
 
 @dataclass(slots=True)
 class _Instance:
-    """A live instance of a named expression; the engine drops it when it ends."""
+    """A live instance of a named expression; the engine drops it when it ends.
+
+    ``order`` is its place in creation order; ``parked_at`` is the tick of
+    the cycle that last parked it.
+    """
 
     name: str
     base: str
     runtime: ExprRuntime
     is_rule: bool
+    order: int
+    parked_at: int = 0
+
+
+_ORDER = attrgetter("order")
+
+
+def _due_runs(cycles: Tuple[range, ...], after: int, lo: int, k: int) -> Iterator[range]:
+    """The cycle ticks above ``after`` at which a check every ``k`` ticks from ``lo`` is due, as ranges.
+
+    Within a run of cycle ticks of gap ``g`` the due ones recur every
+    ``k / gcd(g, k)`` ticks of the run, so each run gives at most one range.
+    """
+    first = len(cycles)
+    while first and cycles[first - 1][-1] > after:
+        first -= 1
+    for run in cycles[first:]:
+        if run.start <= after:
+            run = run[(after - run.start) // run.step + 1 :]
+        period = k // gcd(run.step, k)
+        for i, tick in enumerate(run[:period]):
+            if (tick - lo) % k == 0:
+                yield run[i::period]
+                break
 
 
 class Engine:
@@ -222,13 +257,25 @@ class Engine:
         self.report = Report()
         self._clone_counts: Dict[str, int] = {}
         self._feedback: List[Event] = []  # the emissions of the last cycle, all due at the next tick
-        self._live: List[_Instance] = []  # the non-terminal instances, in creation order
+        self._live: List[_Instance] = []  # the non-terminal instances not parked, in creation order
         for name, expr in program.evolutionary:
             self._live.append(self._create(name, name, expr, is_rule=False))
         for name, rule in program.reactive:
             wrapped = EvolutionaryExpr(core=rule.monitor, repair=rule.reaction)
             self._live.append(self._create(name, name, wrapped, is_rule=True))
+        for inst in self._live:
+            # compiled here, after the last registration, so that no check pays for it
+            core = inst.runtime.expr.core
+            self.kb.plan(core.phi)
+            self.kb.plan(core.chi)
         self._seq_no = 0
+        self._cycles = TickRuns()  # the ticks of the cycles run so far
+        # the parked instances by upper bound (None: unbounded), the heap
+        # of their bounds, and the fact-base version their checks were made at
+        self._parked: Dict[Optional[int], List[_Instance]] = {}
+        self._bounds: List[int] = []
+        self._parked_count = 0
+        self._version = self.kb.version
 
     def _next_seq(self) -> int:
         self._seq_no += 1
@@ -237,9 +284,10 @@ class Engine:
     def _create(self, name: str, base: str, expr: EvolutionaryExpr, is_rule: bool, scan_since: int = -1) -> _Instance:
         """A new instance, listed in the report in creation order."""
         runtime = ExprRuntime(expr, scan_since)
+        order = len(self.report.final_statuses)  # every instance is listed once, under its own name
         self.report.final_statuses[name] = runtime.status
         self.report.ticks[name] = runtime.ticks
-        return _Instance(name, base, runtime, is_rule)
+        return _Instance(name, base, runtime, is_rule, order)
 
     # -- event loop ------------------------------------------------------
 
@@ -250,28 +298,37 @@ class Engine:
         belongs to, so it is never copied.  Emissions land at the tick
         after the cycle that made them, so while any are pending the next
         cycle is that tick.
+
+        An error (``CapExceeded``, say) leaves ``report`` as it stands
+        after the last whole cycle, with the ticks of the parked instances
+        added, and is raised.
         """
         report = self.report
         events = iter(source)
-        pending = next(events, None)  # the next source event, read one ahead
-        post_source = 0
-        while pending is not None or self._feedback:
-            if pending is None:
-                post_source += 1
-                if post_source > self.cfg.max_feedback_ticks:
-                    raise CapExceeded(
-                        f"feedback cascade exceeded {self.cfg.max_feedback_ticks} ticks past the source"
-                    )
-            tick = report.last_tick + 1 if self._feedback else pending.timestamp
-            batch: List[Event] = []
-            while pending is not None and pending.timestamp == tick:
-                batch.append(pending)
-                pending = next(events, None)
-            batch += self._feedback
-            self._feedback = []
-            self._ingest(batch, tick)
-            self._check(tick)
-            report.last_tick = tick
+        try:
+            pending = next(events, None)  # the next source event, read one ahead
+            post_source = 0
+            while pending is not None or self._feedback:
+                if pending is None:
+                    post_source += 1
+                    if post_source > self.cfg.max_feedback_ticks:
+                        raise CapExceeded(
+                            f"feedback cascade exceeded {self.cfg.max_feedback_ticks} ticks past the source"
+                        )
+                tick = report.last_tick + 1 if self._feedback else pending.timestamp
+                batch: List[Event] = []
+                while pending is not None and pending.timestamp == tick:
+                    batch.append(pending)
+                    pending = next(events, None)
+                batch += self._feedback
+                self._feedback = []
+                self._ingest(batch, tick)
+                self._check(tick)
+                report.last_tick = tick
+                self._cycles.add(tick)
+        except Exception:
+            self._unpark()
+            raise
         self._finalize()
         return report
 
@@ -287,47 +344,137 @@ class Engine:
             self.history.record(e)
 
     def _check(self, tick: int) -> None:
-        report = self.report
-        t0 = time.perf_counter_ns() if self.cfg.metrics else 0
+        """Step the instances this cycle wakes or finds live; ``retrieval_ns`` times finding them."""
+        kb = self.kb
+        metrics = self.cfg.metrics
+        t0 = time.perf_counter_ns() if metrics else 0
+        wake = kb.version != self._version or (self._bounds and self._bounds[0] <= tick)
         snapshot = self._live
+        cycle = CycleMetrics(tick, len(snapshot) + self._parked_count, time.perf_counter_ns() - t0) if metrics else None
+        if wake:
+            t1 = time.perf_counter_ns() if metrics else 0
+            snapshot = self._wake(tick)
+            if cycle is not None:
+                cycle.max_eval_ns += time.perf_counter_ns() - t1
+        if snapshot:  # with every instance parked there is nothing to step
+            self._live = self._step_all(snapshot, tick, cycle)
+        if cycle is not None:
+            self.report.metrics.append(cycle)
+
+    def _step_all(self, snapshot: List[_Instance], tick: int, cycle: Optional[CycleMetrics]) -> List[_Instance]:
+        """Step each instance of ``snapshot``, record what it reports, and return the ones still live."""
+        report, history, kb, default_k = self.report, self.history, self.kb, self.default_k
         live: List[_Instance] = []
         spawned: List[_Instance] = []
-        cycle = CycleMetrics(tick, len(snapshot), time.perf_counter_ns() - t0) if self.cfg.metrics else None
         emitted = 0
-        history, kb, default_k = self.history, self.kb, self.default_k
-        for inst in snapshot:
-            runtime = inst.runtime
-            out = runtime.step(history, kb, tick, default_k, cycle)
-            if out is QUIET:
-                live.append(inst)  # a quiet step: nothing to record, still live
-                continue
-            for tr in out.transitions:
-                report.transitions.append(
-                    TransitionRecord(self._next_seq(), tick, inst.name, tr.old, tr.new, tr.cause)
-                )
-            for message in out.warnings:
-                report.warnings.append(WarnRecord(self._next_seq(), tick, inst.name, message))
-            for eff in out.effects:
-                channel = "reactive" if inst.is_rule else eff.channel
-                report.emissions.append(
-                    EmissionRecord(self._next_seq(), tick, inst.name, channel, eff.kind, eff.payload)
-                )
-                emitted += 1
-                if emitted > self.cfg.emission_cap:
-                    raise CapExceeded(f"cycle {tick} emitted more than {self.cfg.emission_cap} actions")
-                self._feedback.append(Event(eff.kind, eff.payload, tick + 1))
-            if not runtime.terminal:
-                live.append(inst)
-                continue
-            report.final_statuses[inst.name] = runtime.status
-            if self.cfg.rearm and any(tr.new in (ExprStatus.VIOLATED, ExprStatus.BROKEN) for tr in out.transitions):
-                clone = self._respawn(inst, tick)
-                if clone is not None:
-                    spawned.append(clone)
+        try:
+            for inst in snapshot:
+                runtime = inst.runtime
+                out = runtime.step(history, kb, tick, default_k, cycle)
+                if out is QUIET:
+                    # a quiet step: nothing to record, still live; a check that
+                    # reads no log stands until the fact base moves
+                    if runtime._last.history is None and self._parks(runtime):
+                        self._park(inst, tick)
+                    else:
+                        live.append(inst)
+                    continue
+                for tr in out.transitions:
+                    report.transitions.append(
+                        TransitionRecord(self._next_seq(), tick, inst.name, tr.old, tr.new, tr.cause)
+                    )
+                for message in out.warnings:
+                    report.warnings.append(WarnRecord(self._next_seq(), tick, inst.name, message))
+                for eff in out.effects:
+                    channel = "reactive" if inst.is_rule else eff.channel
+                    report.emissions.append(
+                        EmissionRecord(self._next_seq(), tick, inst.name, channel, eff.kind, eff.payload)
+                    )
+                    emitted += 1
+                    if emitted > self.cfg.emission_cap:
+                        raise CapExceeded(f"cycle {tick} emitted more than {self.cfg.emission_cap} actions")
+                    self._feedback.append(Event(eff.kind, eff.payload, tick + 1))
+                if not runtime.terminal:
+                    live.append(inst)
+                    continue
+                report.final_statuses[inst.name] = runtime.status
+                if self.cfg.rearm and any(tr.new in (ExprStatus.VIOLATED, ExprStatus.BROKEN) for tr in out.transitions):
+                    clone = self._respawn(inst, tick)
+                    if clone is not None:
+                        spawned.append(clone)
+        except Exception:
+            # the cycle stepped the instances before ``inst``: the parked ones before it were due too
+            this = (range(tick, tick + 1),)
+            for parked in self._unpark():
+                if parked.order < inst.order:
+                    self._catch_up(parked, this)
+            raise
         # clones are younger than every instance stepped this cycle
-        self._live = live + spawned
-        if cycle is not None:
-            report.metrics.append(cycle)
+        return live + spawned
+
+    # -- parking -----------------------------------------------------------
+
+    def _parks(self, runtime: ExprRuntime) -> bool:
+        """Does the quiet check of ``runtime``, which reads no log, stand until the fact base moves?
+
+        It does when it was made at the version the parked checks share:
+        the instance is holding, polices no sequence and keeps its binding,
+        so until its upper bound only its due ticks would change.
+        """
+        return runtime._last.version == self._version
+
+    def _park(self, inst: _Instance, tick: int) -> None:
+        inst.parked_at = tick
+        hi = inst.runtime.expr.core.op.n
+        group = self._parked.get(hi)
+        if group is None:
+            group = self._parked[hi] = []
+            if hi is not None:
+                heapq.heappush(self._bounds, hi)
+        group.append(inst)
+        self._parked_count += 1
+
+    def _wake(self, tick: int) -> List[_Instance]:
+        """The instances this cycle steps: the live ones and the parked ones it wakes, in creation order.
+
+        A moved fact base wakes every parked instance; the first cycle at
+        or past an upper bound wakes the instances it bounds, which then
+        close as they would have.
+        """
+        if self.kb.version != self._version:
+            self._version = self.kb.version
+            woken = self._unpark()
+        else:
+            woken = self._unpark(tick)
+        return sorted(self._live + woken, key=_ORDER) if woken else self._live
+
+    def _unpark(self, due: Optional[int] = None) -> List[_Instance]:
+        """Take out the parked instances, or those bounded at ``due`` or before, with their ticks caught up.
+
+        Each gets the ticks of the cycles run since it parked at which it
+        was due, the ticks its quiet steps would have added.
+        """
+        if due is None:
+            woken = [inst for group in self._parked.values() for inst in group]
+            self._parked.clear()
+            self._bounds.clear()
+        else:
+            woken = []
+            while self._bounds and self._bounds[0] <= due:
+                woken += self._parked.pop(heapq.heappop(self._bounds))
+        if woken:
+            self._parked_count -= len(woken)
+            cycles = self._cycles.runs()
+            for inst in woken:
+                self._catch_up(inst, cycles)
+        return woken
+
+    def _catch_up(self, inst: _Instance, cycles: Tuple[range, ...]) -> None:
+        """Add the ticks of ``cycles`` after the parking one at which ``inst`` was due."""
+        runtime = inst.runtime
+        k = runtime.expr.core.op.k
+        for ticks in _due_runs(cycles, inst.parked_at, runtime.lo, k if k is not None else self.default_k):
+            runtime.ticks.extend(ticks)
 
     def _respawn(self, inst: _Instance, tick: int) -> Optional[_Instance]:
         expr = inst.runtime.expr
@@ -339,8 +486,10 @@ class Engine:
         return self._create(f"{inst.base}#{count}", inst.base, expr, inst.is_rule, scan_since=tick)
 
     def _finalize(self) -> None:
-        """Close every live instance, and free each runtime once it is closed."""
-        report, live = self.report, self._live
+        """Close every live instance, parked or not, and free each runtime once it is closed."""
+        report = self.report
+        live = self._live + self._unpark()  # the only list that holds them, so each is freed once closed
+        live.sort(key=_ORDER)
         end = report.last_tick
         self._live = []
         for i, inst in enumerate(live):

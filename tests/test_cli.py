@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import pytest
+
 from ailtl.cli import main
+from ailtl.dsl import parse_program, parse_trace
+from ailtl.runtime import CapExceeded, Engine
 
 
 def test_scenario_then_run_exits_clean(tmp_path, capsys):
@@ -70,6 +74,30 @@ def test_a_zero_frequency_exits_two_naming_it(tmp_path, capsys):
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "frequency" in err
+
+
+def test_a_bad_config_entry_is_reported_at_its_line(tmp_path, capsys):
+    program = tmp_path / "late.ailtl"
+    program.write_text("expr:\nNEVER ghost.\nconfig:\nfrequency = 0.\n", encoding="utf-8")
+    assert main(["check", "--program", str(program)]) == 2
+    assert capsys.readouterr().err.startswith("error: 4:1: frequency")
+
+
+def test_a_stopped_run_writes_its_report_and_an_error_line(tmp_path, capsys):
+    # each echo re-violates the re-armed clone, which echoes again, until
+    # the feedback cascade passes its bound
+    program_text, trace_text = "rules:\nNEVER echo_A(X) DIV echo(again).\n", "1 A echo(start)\n"
+    program, trace = tmp_path / "echo.ailtl", tmp_path / "echo.trace"
+    program.write_text(program_text, encoding="utf-8")
+    trace.write_text(trace_text, encoding="utf-8")
+    assert main(["run", "--program", str(program), "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    engine = Engine(parse_program(program_text))
+    with pytest.raises(CapExceeded) as err:
+        engine.run(parse_trace(trace_text))
+    assert captured.out == engine.report.render() + f"error 10001 {err.value}\n"
+    assert "summary violations=10001 " in captured.out
+    assert captured.err == f"error: {err.value}\n"
 
 
 def test_missing_file_exits_two(tmp_path):

@@ -66,6 +66,13 @@ def test_a_frequency_below_one_is_a_parse_error(value):
     assert "frequency" in str(err.value)
 
 
+@pytest.mark.parametrize("entry", ["tick = fortnight.", "frequency = 0."])
+def test_a_bad_config_entry_is_positioned_at_its_key(entry):
+    with pytest.raises(ParseError) as err:
+        parse_program(f"expr:\nNEVER ghost.\nconfig:\nderived = queue.\n  {entry}\n")
+    assert (err.value.line, err.value.col) == (5, 3)
+
+
 def test_parse_error_positions_point_at_the_offending_token():
     with pytest.raises(ParseError) as err:
         parse_program("facts:\nok(1)\nbad\n")

@@ -53,6 +53,30 @@ def test_tick_runs_expand_to_the_ticks_fed(start, segments):
     assert len(runs) == (_gap_changes(ticks) + 1 if ticks else 0)
 
 
+def _state(recorder):
+    return tuple(getattr(recorder, slot) for slot in TickRuns.__slots__)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 50), _segments, st.lists(st.booleans(), min_size=12, max_size=12))
+def test_extending_by_a_range_equals_adding_each_tick(start, segments, bulk):
+    # each segment is one arithmetic range: fed whole, or a tick at a time
+    extended, added = TickRuns(), TickRuns()
+    first = start
+    for (stride, count, gap), whole in zip(segments, bulk):
+        ticks = range(first, first + stride * count, stride)
+        if whole:
+            extended.extend(ticks)
+        else:
+            for tick in ticks:
+                extended.add(tick)
+        for tick in ticks:
+            added.add(tick)
+        first = ticks[-1] + gap
+    assert _state(extended) == _state(added)
+    assert extended.runs() == added.runs()
+
+
 def test_a_steady_stride_keeps_one_run_and_large_gaps_survive():
     recorder = TickRuns()
     for tick in range(0, 3000, 3):
