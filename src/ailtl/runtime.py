@@ -299,9 +299,9 @@ class Engine:
         after the cycle that made them, so while any are pending the next
         cycle is that tick.
 
-        An error (``CapExceeded``, say) leaves ``report`` as it stands
-        after the last whole cycle, with the ticks of the parked instances
-        added, and is raised.
+        An error (``CapExceeded``, say) is raised with ``report`` as the
+        steps so far have left it, once the parked instances have the
+        ticks their steps would have added.
         """
         report = self.report
         events = iter(source)
@@ -356,7 +356,7 @@ class Engine:
             snapshot = self._wake(tick)
             if cycle is not None:
                 cycle.max_eval_ns += time.perf_counter_ns() - t1
-        if snapshot:  # with every instance parked there is nothing to step
+        if snapshot:  # with every instance parked or ended there is nothing to step
             self._live = self._step_all(snapshot, tick, cycle)
         if cycle is not None:
             self.report.metrics.append(cycle)
