@@ -269,7 +269,7 @@ class Engine:
             self.kb.plan(core.phi)
             self.kb.plan(core.chi)
         self._seq_no = 0
-        self._cycles = TickRuns()  # the ticks of the cycles run so far
+        self._cycles = TickRuns()  # the ticks of the cycles run while an instance was parked
         # the parked instances by upper bound (None: unbounded), the heap
         # of their bounds, and the fact-base version their checks were made at
         self._parked: Dict[Optional[int], List[_Instance]] = {}
@@ -325,7 +325,8 @@ class Engine:
                 self._ingest(batch, tick)
                 self._check(tick)
                 report.last_tick = tick
-                self._cycles.add(tick)
+                if self._parked_count:  # a catch-up reads only the cycles run since its parking
+                    self._cycles.add(tick)
         except Exception:
             self._unpark()
             raise
@@ -344,7 +345,7 @@ class Engine:
             self.history.record(e)
 
     def _check(self, tick: int) -> None:
-        """Step the instances this cycle wakes or finds live; ``retrieval_ns`` times finding them."""
+        """Step the instances this cycle finds live or wakes; ``retrieval_ns`` times finding them."""
         kb = self.kb
         metrics = self.cfg.metrics
         t0 = time.perf_counter_ns() if metrics else 0
@@ -356,14 +357,12 @@ class Engine:
             snapshot = self._wake(tick)
             if cycle is not None:
                 cycle.max_eval_ns += time.perf_counter_ns() - t1
-        if snapshot:  # with every instance parked or ended there is nothing to step
-            self._live = self._step_all(snapshot, tick, cycle)
-        if cycle is not None:
-            self.report.metrics.append(cycle)
-
-    def _step_all(self, snapshot: List[_Instance], tick: int, cycle: Optional[CycleMetrics]) -> List[_Instance]:
-        """Step each instance of ``snapshot``, record what it reports, and return the ones still live."""
-        report, history, kb, default_k = self.report, self.history, self.kb, self.default_k
+        report = self.report
+        if not snapshot:  # with every instance parked or ended there is nothing to step
+            if cycle is not None:
+                report.metrics.append(cycle)
+            return
+        history, default_k = self.history, self.default_k
         live: List[_Instance] = []
         spawned: List[_Instance] = []
         emitted = 0
@@ -410,7 +409,9 @@ class Engine:
                     self._catch_up(parked, this)
             raise
         # clones are younger than every instance stepped this cycle
-        return live + spawned
+        self._live = live + spawned
+        if cycle is not None:
+            report.metrics.append(cycle)
 
     # -- parking -----------------------------------------------------------
 

@@ -147,14 +147,17 @@ def _asserting(events, at, fact):
 @pytest.mark.parametrize("at", [1, 7, 19])
 def test_a_fact_asserted_mid_run_wakes_parked_instances(monkeypatch, at):
     program = parse_program(
-        "expr:\nNEVER alarm(on).\nALWAYS(0, 30; 2) ok.\nEVENTUALLY alarm(X).\nNEVER(3, 12) alarm(on).\nfacts:\nok.\n"
+        "expr:\nNEVER alarm(on).\nALWAYS(0, 30; 2) ok.\nEVENTUALLY alarm(X).\nNEVER(3, 12) alarm(on).\n"
+        "NEVER(0, 40; 4) alarm(on).\nfacts:\nok.\n"
     )
     events = parse_trace("\n".join(f"{t} N tickmark({t})" for t in range(0, 21)))
     source = _asserting(events, at, Compound("alarm", (Const("on"),)))
     assert _compare_with_parking_off(monkeypatch, [(program, source)], prepare=True) > 0
     text, _, _ = _outcome(program, source, prepare=True)
-    first = next(line for line in text.splitlines() if line.endswith("->violated cause=alarm(on)"))
-    assert first.startswith(f"transition {at - 1} e1 ")
+    violated = [line.split()[1:3] for line in text.splitlines() if line.endswith("->violated cause=alarm(on)")]
+    assert violated[0] == [str(at - 1), "e1"]
+    # e5 is woken at a tick it is not due at, and decides at its next due tick
+    assert [str(-(-(at - 1) // 4) * 4), "e5"] in violated
 
 
 # -- a partial report ---------------------------------------------------------------------
