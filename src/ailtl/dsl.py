@@ -223,7 +223,10 @@ class _Parser:
         self.config_at: Dict[str, Token] = {}  # the key token of the config entry that set each key
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        try:
+            return self.toks[self.i + ahead]
+        except IndexError:
+            return self.toks[-1]  # EOF, which ``advance`` never moves past
 
     def advance(self) -> Token:
         tok = self.toks[self.i]

@@ -33,8 +33,11 @@ def _without_parking(monkeypatch):
     monkeypatch.setattr(Engine, "_parks", lambda self, runtime: False)
 
 
-def _outcome(program, source, config=None, prepare=None):
-    """The report text, the check ticks and ``f`` per cycle of a run, or the run's error."""
+def _outcome(program, source, config=None, prepare=False):
+    """The report text, the check ticks and ``f`` per cycle of a run, or its error and check ticks.
+
+    With ``prepare``, ``source`` is called with the engine to give the events.
+    """
     engine = Engine(program, config or EngineConfig(metrics=True, max_feedback_ticks=50))
     try:
         report = engine.run(source(engine) if prepare else source)
@@ -82,7 +85,7 @@ def test_shipped_scenarios_give_the_golden_report_without_parking(monkeypatch, c
     golden = (GOLDEN_DIR / f"{case}.txt").read_text(encoding="utf-8")
     plain = _outcome(program, events, EngineConfig())
     assert plain[0] == golden
-    _compare_with_parking_off(monkeypatch, [(program, events)])
+    _compare_with_parking_off(monkeypatch, [(program, events)])  # timed runs; leaves parking off
     assert _outcome(program, events, EngineConfig()) == plain
 
 
