@@ -345,26 +345,31 @@ class Engine:
             self.history.record(e)
 
     def _check(self, tick: int) -> None:
-        """Step the instances this cycle finds live or wakes; ``retrieval_ns`` times finding them."""
-        kb = self.kb
+        """Step the instances live at ``tick`` and those it wakes.
+
+        A cycle with no instance live and none to wake steps nothing: its
+        metrics record has ``f`` and no times.  Otherwise ``retrieval_ns``
+        times taking the snapshot and making the cycle's result lists, and
+        a wake (catch-up and merge) is timed into ``max_eval_ns``.
+        """
+        report, kb = self.report, self.kb
         metrics = self.cfg.metrics
-        t0 = time.perf_counter_ns() if metrics else 0
         wake = kb.version != self._version or (self._bounds and self._bounds[0] <= tick)
+        if not (wake or self._live):
+            if metrics:
+                report.metrics.append(CycleMetrics(tick, self._parked_count, 0))
+            return
+        t0 = time.perf_counter_ns() if metrics else 0
         snapshot = self._live
+        live: List[_Instance] = []
+        spawned: List[_Instance] = []
         cycle = CycleMetrics(tick, len(snapshot) + self._parked_count, time.perf_counter_ns() - t0) if metrics else None
         if wake:
             t1 = time.perf_counter_ns() if metrics else 0
             snapshot = self._wake(tick)
             if cycle is not None:
                 cycle.max_eval_ns += time.perf_counter_ns() - t1
-        report = self.report
-        if not snapshot:  # with every instance parked or ended there is nothing to step
-            if cycle is not None:
-                report.metrics.append(cycle)
-            return
         history, default_k = self.history, self.default_k
-        live: List[_Instance] = []
-        spawned: List[_Instance] = []
         emitted = 0
         try:
             for inst in snapshot:
