@@ -406,6 +406,17 @@ class ExprRuntime:
             timed.max_eval_ns += clock() - t2
         return out
 
+    def stands_at(self, version: int) -> bool:
+        """Does the last check stand until the fact base moves from ``version``?
+
+        It does when it reads no log and was made at ``version``: the
+        instance's binding moves only when a sequence is policed, so a
+        quiet instance (``_quiet``) would reuse the check's result on
+        every due tick before its upper bound.
+        """
+        last = self._last
+        return last is not None and last.history is None and last.version == version
+
     def _quiet(self, now: int) -> bool:
         """Is this a quiet step: holding, no cursor or breaking scan, before the upper bound?
 

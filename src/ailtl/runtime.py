@@ -27,6 +27,7 @@ countermeasures.
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 from dataclasses import dataclass, field
 from math import gcd
@@ -219,6 +220,7 @@ class _Instance:
 
 
 _ORDER = attrgetter("order")
+_NEVER = sys.maxsize  # past every tick: no upper bound to wake at
 
 
 def _due_runs(cycles: Tuple[range, ...], after: int, lo: int, k: int) -> Iterator[range]:
@@ -269,13 +271,19 @@ class Engine:
             self.kb.plan(core.phi)
             self.kb.plan(core.chi)
         self._seq_no = 0
-        self._cycles = TickRuns()  # the ticks of the cycles run while an instance was parked
-        # the parked instances by upper bound (None: unbounded), the heap
-        # of their bounds, and the fact-base version their checks were made at
+        # the parked instances by upper bound (None: unbounded), the heap of
+        # their bounds, the first of them (``_NEVER``: none), and the
+        # fact-base version their checks were made at
         self._parked: Dict[Optional[int], List[_Instance]] = {}
         self._bounds: List[int] = []
+        self._wake_at = _NEVER
         self._parked_count = 0
         self._version = self.kb.version
+        # the ticks of the cycles run since the first parked instance parked:
+        # those up to ``_turned``, and every ``_stride`` ticks since (0: none)
+        self._cycles = TickRuns()
+        self._turned = 0
+        self._stride = 0
 
     def _next_seq(self) -> int:
         self._seq_no += 1
@@ -325,8 +333,6 @@ class Engine:
                 self._ingest(batch, tick)
                 self._check(tick)
                 report.last_tick = tick
-                if self._parked_count:  # a catch-up reads only the cycles run since its parking
-                    self._cycles.add(tick)
         except Exception:
             self._unpark()
             raise
@@ -347,38 +353,41 @@ class Engine:
     def _check(self, tick: int) -> None:
         """Step the instances live at ``tick`` and those it wakes.
 
-        A cycle with no instance live and none to wake steps nothing: its
-        metrics record has ``f`` and no times.  Otherwise ``retrieval_ns``
-        times taking the snapshot and making the cycle's result lists, and
-        a wake (catch-up and merge) is timed into ``max_eval_ns``.
+        ``retrieval_ns`` times the cycle's own work: the wake test, the
+        snapshot, the result lists and, while anything is parked, the
+        record of the cycle's tick.  A cycle with no instance live and
+        none to wake does only that.  A wake (catch-up and merge) is timed
+        into ``max_eval_ns``.
         """
         report, kb = self.report, self.kb
-        metrics = self.cfg.metrics
-        wake = kb.version != self._version or (self._bounds and self._bounds[0] <= tick)
-        if not (wake or self._live):
-            if metrics:
-                report.metrics.append(CycleMetrics(tick, self._parked_count, 0))
-            return
-        t0 = time.perf_counter_ns() if metrics else 0
+        clock = time.perf_counter_ns if self.cfg.metrics else None
+        t0 = clock() if clock else 0
         snapshot = self._live
+        wake = kb.version != self._version or tick >= self._wake_at
+        if not (wake or snapshot):
+            if self._parked_count and tick - report.last_tick != self._stride:
+                self._turn(tick)
+            if clock:
+                report.metrics.append(CycleMetrics(tick, self._parked_count, clock() - t0))
+            return
         live: List[_Instance] = []
         spawned: List[_Instance] = []
-        cycle = CycleMetrics(tick, len(snapshot) + self._parked_count, time.perf_counter_ns() - t0) if metrics else None
+        cycle = CycleMetrics(tick, len(snapshot) + self._parked_count, clock() - t0) if clock else None
         if wake:
-            t1 = time.perf_counter_ns() if metrics else 0
+            t1 = clock() if clock else 0
             snapshot = self._wake(tick)
-            if cycle is not None:
-                cycle.max_eval_ns += time.perf_counter_ns() - t1
-        history, default_k = self.history, self.default_k
+            if clock:
+                cycle.max_eval_ns += clock() - t1
+        history, default_k, version = self.history, self.default_k, self._version
         emitted = 0
         try:
             for inst in snapshot:
                 runtime = inst.runtime
                 out = runtime.step(history, kb, tick, default_k, cycle)
                 if out is QUIET:
-                    # a quiet step: nothing to record, still live; a check that
-                    # reads no log stands until the fact base moves
-                    if runtime._last.history is None and self._parks(runtime):
+                    # a quiet step: nothing to record, still live; a check
+                    # that stands until the fact base moves is parked
+                    if runtime.stands_at(version):
                         self._park(inst, tick)
                     else:
                         live.append(inst)
@@ -413,21 +422,16 @@ class Engine:
                 if parked.order < inst.order:
                     self._catch_up(parked, this)
             raise
+        t2 = clock() if clock else 0
         # clones are younger than every instance stepped this cycle
         self._live = live + spawned
-        if cycle is not None:
+        if self._parked_count and tick - report.last_tick != self._stride:
+            self._turn(tick)
+        if clock:
+            cycle.retrieval_ns += clock() - t2
             report.metrics.append(cycle)
 
     # -- parking -----------------------------------------------------------
-
-    def _parks(self, runtime: ExprRuntime) -> bool:
-        """Does the quiet check of ``runtime``, which reads no log, stand until the fact base moves?
-
-        It does when it was made at the version the parked checks share:
-        the instance is holding, polices no sequence and keeps its binding,
-        so until its upper bound only its due ticks would change.
-        """
-        return runtime._last.version == self._version
 
     def _park(self, inst: _Instance, tick: int) -> None:
         inst.parked_at = tick
@@ -437,6 +441,7 @@ class Engine:
             group = self._parked[hi] = []
             if hi is not None:
                 heapq.heappush(self._bounds, hi)
+                self._wake_at = self._bounds[0]
         group.append(inst)
         self._parked_count += 1
 
@@ -468,12 +473,35 @@ class Engine:
             woken = []
             while self._bounds and self._bounds[0] <= due:
                 woken += self._parked.pop(heapq.heappop(self._bounds))
+        self._wake_at = self._bounds[0] if self._bounds else _NEVER
         if woken:
             self._parked_count -= len(woken)
-            cycles = self._cycles.runs()
+            cycles = self._cycle_runs()
+            if not self._parked_count:  # no parked instance reads these any more
+                self._cycles, self._turned, self._stride = TickRuns(), 0, 0
             for inst in woken:
                 self._catch_up(inst, cycles)
         return woken
+
+    def _cycle_runs(self) -> Tuple[range, ...]:
+        """The ticks of the cycles run since the first parked instance parked, as ranges."""
+        runs = self._cycles.runs()
+        if self._stride:
+            runs += (range(self._turned + self._stride, self.report.last_tick + 1, self._stride),)
+        return runs
+
+    def _turn(self, tick: int) -> None:
+        """``tick`` breaks the stride of the cycles since the last turn: record those, start the next.
+
+        So a cycle on the stride costs one compare and records nothing.
+        ``report.last_tick`` is the cycle before this one.  The first
+        parking starts a stride at the cycle before its own; a catch-up
+        reads only the ticks after the parking.
+        """
+        last = self.report.last_tick
+        if self._stride:
+            self._cycles.extend(range(self._turned + self._stride, last + 1, self._stride))
+        self._turned, self._stride = last, tick - last
 
     def _catch_up(self, inst: _Instance, cycles: Tuple[range, ...]) -> None:
         """Add the ticks of ``cycles`` after the parking one at which ``inst`` was due."""

@@ -30,7 +30,7 @@ from test_golden import CASES, GOLDEN_DIR
 
 
 def _without_parking(monkeypatch):
-    monkeypatch.setattr(Engine, "_parks", lambda self, runtime: False)
+    monkeypatch.setattr(ExprRuntime, "stands_at", lambda self, version: False)
 
 
 def _outcome(program, source, config=None, prepare=False):
@@ -197,3 +197,25 @@ def test_static_constraints_are_stepped_at_most_three_times_each(monkeypatch):
     report = Engine(parse_program(program_text)).run(parse_trace(trace_text))
     assert report.eval_ticks == {name: list(range(1, 101)) for name in report.final_statuses}
     assert calls[0] <= 3 * 100
+
+
+def test_the_cycle_record_holds_only_the_cycles_since_the_parking():
+    # irregular ticks, and a fact asserted as tick 20 is read, so before the cycle of 16
+    program = parse_program("expr:\nNEVER alarm(on).\n")
+    ticks = [0, 1, 3, 4, 8, 9, 15, 16, 20, 27, 28, 35, 36, 50, 51, 53]
+    events = _asserting(parse_trace("\n".join(f"{t} N tickmark({t})" for t in ticks)), 20, Const("ok"))
+    before = {}  # the record as each event is read: before the cycle of the event before it
+
+    def source(engine):
+        for event in events(engine):
+            before[event.timestamp] = [t for run in engine._cycle_runs() for t in run]
+            yield event
+
+    engine = Engine(program)
+    report = engine.run(source(engine))
+    assert report.eval_ticks == {"e1": ticks}
+    # parked at 1; woken at 16, which empties the record, and parked again there
+    assert before[16] == [1, 3, 4, 8, 9]
+    assert before[27] == [16]
+    assert before[53] == [16, 20, 27, 28, 35, 36, 50]
+    assert engine._cycle_runs() == ()  # closed, and nothing is parked

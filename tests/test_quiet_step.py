@@ -23,7 +23,7 @@ from ailtl.events import Event, EventKind, History
 from ailtl.evolutionary import QUIET, EvolutionaryExpr, ExprRuntime, ExprStatus
 from ailtl.kb import FactBase, Literal
 from ailtl.patterns import PatternElem, PatternSeq
-from ailtl.runtime import CycleMetrics, Engine, EngineConfig, run
+from ailtl.runtime import CycleMetrics, EngineConfig, run
 from ailtl.scenarios import gen_scenario
 from ailtl.temporal import ContextualFormula, IntervalOp, TemporalOp
 from ailtl.terms import Compound, Const, Var, atom
@@ -64,7 +64,7 @@ def _compare_with_quiet_steps_off(monkeypatch, cases):
 
 def test_random_runs_give_the_same_report_without_quiet_steps(monkeypatch, quiet_steps):
     # with parking on, a parked instance takes no quiet steps at all
-    monkeypatch.setattr(Engine, "_parks", lambda self, runtime: False)
+    monkeypatch.setattr(ExprRuntime, "stands_at", lambda self, version: False)
     cases = []
     for seed in range(80):
         rng = random.Random(seed)

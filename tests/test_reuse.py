@@ -24,7 +24,7 @@ from ailtl.events import Event, EventKind, History
 from ailtl.evolutionary import EvolutionaryExpr, ExprRuntime, ExprStatus
 from ailtl.kb import Comparison, EventRef, FactBase, Literal
 from ailtl.patterns import PatternElem, PatternSeq, Quant
-from ailtl.runtime import Engine, EngineConfig, run
+from ailtl.runtime import EngineConfig, run
 from ailtl.scenarios import bench_scenario, gen_scenario
 from ailtl.temporal import ContextualFormula, IntervalOp, NonGroundAfterContext, TemporalOp
 from ailtl.terms import Compound, Const, Var, atom
@@ -48,15 +48,11 @@ def evaluations(monkeypatch):
 
 
 def _without_reuse(monkeypatch):
-    """Every due check evaluated in full: no previous result to reuse, and no instance parked on one."""
-    evaluate = ExprRuntime._evaluate
-
-    def afresh(self, history, kb):
-        self._last = None
-        return evaluate(self, history, kb)
-
-    monkeypatch.setattr(ExprRuntime, "_evaluate", afresh)
-    monkeypatch.setattr(Engine, "_parks", lambda self, runtime: False)
+    monkeypatch.setattr(
+        ExprRuntime,
+        "_evaluate",
+        lambda self, history, kb: evolutionary.eval_once(self.expr.core, kb, history, self.binding),
+    )
 
 
 def _never(*phi, chi=()):
