@@ -27,7 +27,6 @@ countermeasures.
 from __future__ import annotations
 
 import heapq
-import sys
 import time
 from dataclasses import dataclass, field
 from math import gcd
@@ -220,7 +219,6 @@ class _Instance:
 
 
 _ORDER = attrgetter("order")
-_NEVER = sys.maxsize  # past every tick: no upper bound to wake at
 
 
 def _due_runs(cycles: Tuple[range, ...], after: int, lo: int, k: int) -> Iterator[range]:
@@ -271,12 +269,10 @@ class Engine:
             self.kb.plan(core.phi)
             self.kb.plan(core.chi)
         self._seq_no = 0
-        # the parked instances by upper bound (None: unbounded), the heap of
-        # their bounds, the first of them (``_NEVER``: none), and the
-        # fact-base version their checks were made at
+        # the parked instances by upper bound (None: unbounded), the heap
+        # of their bounds, and the fact-base version their checks were made at
         self._parked: Dict[Optional[int], List[_Instance]] = {}
         self._bounds: List[int] = []
-        self._wake_at = _NEVER
         self._parked_count = 0
         self._version = self.kb.version
         # the ticks of the cycles run since the first parked instance parked:
@@ -363,7 +359,7 @@ class Engine:
         clock = time.perf_counter_ns if self.cfg.metrics else None
         t0 = clock() if clock else 0
         snapshot = self._live
-        wake = kb.version != self._version or tick >= self._wake_at
+        wake = kb.version != self._version or (self._bounds and self._bounds[0] <= tick)
         if not (wake or snapshot):
             if self._parked_count and tick - report.last_tick != self._stride:
                 self._turn(tick)
@@ -441,7 +437,6 @@ class Engine:
             group = self._parked[hi] = []
             if hi is not None:
                 heapq.heappush(self._bounds, hi)
-                self._wake_at = self._bounds[0]
         group.append(inst)
         self._parked_count += 1
 
@@ -473,7 +468,6 @@ class Engine:
             woken = []
             while self._bounds and self._bounds[0] <= due:
                 woken += self._parked.pop(heapq.heappop(self._bounds))
-        self._wake_at = self._bounds[0] if self._bounds else _NEVER
         if woken:
             self._parked_count -= len(woken)
             cycles = self._cycle_runs()
