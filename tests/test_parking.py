@@ -8,7 +8,8 @@ the ticks it was due at when it wakes or the run ends.  These tests
 compare whole runs with parking forced off, which must give the same
 report, the same check ticks and the same ``f`` per cycle; cover the
 wakes (sparse cycle ticks with k > 1, an upper bound, a fact asserted
-mid-run); keep a partial report whole; and guard the step count that
+mid-run); keep a partial report whole; keep the engine's record of cycle
+ticks to the cycles since the parking; and guard the step count that
 parking saves.
 """
 
